@@ -4,7 +4,7 @@
 PYTHON ?= python
 export PYTHONPATH := src:$(PYTHONPATH)
 
-.PHONY: test test-fast smoke test-fault test-oracle test-live test-chaos cov bench bench-batched bench-analytic docs-check
+.PHONY: test test-fast smoke test-fault test-oracle test-live test-chaos cov bench bench-batched bench-analytic bench-e2e bench-pair docs-check
 
 ## full suite, including perf benchmarks (the tier-1 gate)
 test:
@@ -51,6 +51,16 @@ bench-batched:
 ## analytic screening benchmark only (the BENCH_PERF.json `analytic` section)
 bench-analytic:
 	$(PYTHON) -m pytest benchmarks/test_bench_perf.py::test_bench_analytic_screening_rate -q -s
+
+## the repo benchmark (BENCHMARK.json, bench/README.md): every workload once
+## plus one traced pass each, written to $(OUT); touches no tracked file
+OUT ?= /tmp/repro-bench.json
+bench-e2e:
+	python3 -m bench --repeats 1 --out $(OUT)
+
+## two bench-e2e documents against the bounds: make bench-pair A=parent.json B=change.json
+bench-pair:
+	$(PYTHON) -m bench.compare $(A) $(B)
 
 ## docs gate: validate markdown cross-links, smoke-run examples/*.py
 docs-check:

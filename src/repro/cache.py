@@ -244,6 +244,21 @@ class ArtifactCache:
                 self._memory.popitem(last=False)
         return value
 
+    def contains(self, key: str) -> bool:
+        """Whether :meth:`get` would find ``key`` in memory or a file on disk.
+
+        A scheduling hint, not a promise: the file is not read (a torn or
+        foreign one still heals as a miss in :meth:`get`) and ``stats`` is
+        left alone.  Always ``False`` when the cache is disabled.
+        """
+        if not self.enabled:
+            return False
+        with self._lock:
+            if key in self._memory:
+                return True
+        path = self._path(key)
+        return path is not None and os.path.exists(path)
+
     def clear(self) -> None:
         """Drop the in-process layer (the disk layer is left alone)."""
         with self._lock:

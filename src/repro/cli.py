@@ -12,8 +12,9 @@ Commands:
   tick, outage, scale, flows, tunnelled, aqm, qlimit, codel_target, and
   codel_interval, and results can be exported as tidy CSV or structured
   JSON (``--export``, docs/scenarios.md).  Every distinct swept model
-  parameter set is built at most once per machine, ever: grid runs prewarm
-  the persistent model-artifact cache before fanning out
+  parameter set is built at most once per machine, ever: a pooled grid
+  builds the ones the persistent model-artifact cache lacks as worker
+  tasks, side by side, and holds back only each model's own cells
   (docs/performance.md)
 * ``live``       — run sized transfers over the real-socket loopback
   transport (``repro.transport``, docs/transport.md): Sprout over actual

@@ -84,6 +84,8 @@ DEFAULT_SIGMA = 200.0
 DEFAULT_OUTAGE_ESCAPE_RATE = 1.0
 #: forecast horizon in ticks (paper: 8 ticks = 160 ms)
 DEFAULT_FORECAST_TICKS = 8
+#: Monte-Carlo sample paths per rate bin behind the forecast CDFs
+DEFAULT_FORECAST_PATHS = 4000
 
 
 @dataclass(frozen=True)
@@ -136,10 +138,10 @@ _QUANTILE_STRIDE = 16
 
 
 #: in-process artifact entries kept by default.  One paper-size artifact is
-#: ~20 MB of frozen arrays (tensor + companions), an order of magnitude
-#: heavier than a trace-cache entry, so the bound is tighter than the trace
-#: cache's 64 — wide enough for any realistic sweep's distinct parameter
-#: sets, small enough that a pathological grid cannot pin gigabytes.
+#: 5.6 MB of frozen arrays (float32 tensor + companions; 9.6 MB at a 40 ms
+#: tick), far heavier than a trace-cache entry, so the bound is tighter than
+#: the trace cache's 64 — wide enough for any realistic sweep's distinct
+#: parameter sets, small enough that a pathological grid cannot pin gigabytes.
 DEFAULT_MODEL_ARTIFACTS = 16
 
 
@@ -148,7 +150,9 @@ def default_model_cache_dir() -> str:
     return default_cache_directory("REPRO_MODEL_CACHE_DIR", "repro-model-cache")
 
 
-def model_key(params: RateModelParams, forecast_paths: int) -> str:
+def model_key(
+    params: RateModelParams, forecast_paths: int = DEFAULT_FORECAST_PATHS
+) -> str:
     """Content hash identifying one deterministic model precomputation.
 
     Covers every :class:`RateModelParams` field, the Monte-Carlo ensemble
@@ -267,7 +271,7 @@ class RateModel:
     def __init__(
         self,
         params: Optional[RateModelParams] = None,
-        forecast_paths: int = 4000,
+        forecast_paths: int = DEFAULT_FORECAST_PATHS,
     ) -> None:
         if forecast_paths < 100:
             raise ValueError("forecast_paths must be at least 100")
@@ -458,22 +462,26 @@ class RateModel:
             step *conditioned on* landing inside the grid; a few rounds of
             rejection resampling reproduce that here, each round redrawing
             the full ensemble (so the stream matches the reference
-            implementation) but only adopting the redraws for paths still
-            outside the grid.  Rounds stop as soon as no path is outside.
+            implementation) but doing the arithmetic only for the paths
+            still outside the grid — a few percent after the first draw,
+            shrinking every round.  Rounds stop as soon as none is outside.
             """
             rng.standard_normal(out=noise)
             np.multiply(noise, std, out=noise)
             np.add(current, noise, out=proposal)
+            np.less(proposal, 0.0, out=below)
+            np.greater(proposal, p.max_rate, out=above)
+            np.logical_or(below, above, out=outside)
+            stray = np.flatnonzero(outside)
+            flat_current, flat_noise = current.ravel(), noise.ravel()
+            flat_proposal = proposal.ravel()
             for _ in range(6):
-                np.less(proposal, 0.0, out=below)
-                np.greater(proposal, p.max_rate, out=above)
-                np.logical_or(below, above, out=outside)
-                if not outside.any():
+                if not stray.size:
                     break
                 rng.standard_normal(out=noise)
-                np.multiply(noise, std, out=noise)
-                np.add(current, noise, out=noise)
-                np.copyto(proposal, noise, where=outside)
+                redrawn = flat_current[stray] + flat_noise[stray] * std
+                flat_proposal[stray] = redrawn
+                stray = stray[(redrawn < 0.0) | (redrawn > p.max_rate)]
             np.clip(proposal, 0.0, p.max_rate, out=proposal)
 
         for j in range(p.forecast_ticks):

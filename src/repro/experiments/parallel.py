@@ -8,25 +8,34 @@ and returns results in exactly the order of the serial runner — scheme-major,
 link-minor — so every downstream consumer (tables, figures, reports) sees
 bit-identical output regardless of ``jobs``.
 
-Each worker process warms the shared :class:`~repro.core.rate_model.RateModel`
-once at start-up, so the per-cell cost is pure emulation.  Because that
-warm-up used to be expensive (~2 s of Monte-Carlo precomputation; now a
-model-artifact cache hit after the first build — docs/performance.md
-"Layer 3"), :func:`shared_pool` lets a multi-matrix run (the full report, a
-parameter sweep) open **one** warmed pool and reuse it for every matrix
-instead of paying the warm-up once per matrix; :func:`run_cells` /
+A multi-matrix run (the full report, a parameter sweep) opens **one**
+pool with :func:`shared_pool` and reuses it for every matrix instead of
+paying worker start-up once per matrix; :func:`run_cells` /
 :func:`run_matrix` transparently pick the shared pool up when one is
 active.
 
-The cell runner is also *cache-shaped*: before fanning a batch out,
-:func:`run_cells` collects the distinct
+The cell runner is also *cache-shaped*.  A swept rate model costs ~1.5 s of
+Monte-Carlo precomputation the first time it is seen on a machine
+(docs/performance.md "Layer 3"), and that build cannot be split: its RNG
+stream is sequential and the artifact must stay bit-identical.  So a pooled
+batch runs *different* models' builds side by side, as pool tasks that gate
+their cells (:class:`_ModelGate`): each distinct
 :class:`~repro.core.rate_model.RateModelParams` the cells will request
 (:func:`required_model_params` — swept sigma/tick variants, tunnelled
-scenarios carrying a tuned Sprout, the defaults) and builds each missing
-model artifact exactly once in the parent (:func:`prewarm_models`).
-Workers then load every model from the cache — by inherited memory when
-they fork after the prewarm, from disk otherwise — instead of rebuilding
-it per process.
+scenarios carrying a tuned Sprout, the defaults) whose artifact is in
+neither cache tier becomes one build task, submitted ahead of every cell
+(longest tasks first); cells whose model is already cached, or that need
+none, queue right behind the builds; the cells of a missing model are
+submitted the moment its build finishes and load it from the disk tier (or
+the builder's own memory tier).  No model is built twice, no cell waits for
+a model other than its own, and the parent neither builds nor holds an
+artifact.  The gate only orders work: a build that fails still releases
+its cells, which then hit the same error in their own ``RateModel(params)``
+call, so every error policy sees exactly the per-cell outcome.  With the
+disk tier off (``REPRO_MODEL_CACHE_DISK=0``) a worker-built artifact cannot
+reach another process, so the parent builds before the workers fork
+instead (:func:`prewarm_models`); with the cache disabled every process
+builds on demand, the seed behaviour.
 
 Cells whose scheme cannot be pickled (ad-hoc :class:`SchemeSpec` instances
 built around closures) are detected up front and run in the parent process
@@ -57,12 +66,14 @@ from collections import deque
 from concurrent.futures import (
     FIRST_COMPLETED,
     BrokenExecutor,
+    Future,
     ProcessPoolExecutor,
     wait,
 )
 from contextlib import contextmanager
 from typing import (
     Callable,
+    Dict,
     Iterable,
     Iterator,
     List,
@@ -110,13 +121,6 @@ def default_jobs() -> int:
     return os.cpu_count() or 1
 
 
-def _warm_worker() -> None:
-    """Pool initializer: build the shared rate model once per process."""
-    from repro.core.rate_model import shared_rate_model
-
-    shared_rate_model()
-
-
 def _run_cell(
     scheme: Union[str, SchemeSpec],
     link: Union[str, LinkSpec],
@@ -135,7 +139,7 @@ def _run_cell(
     return run_scheme_on_link(scheme, link, config)
 
 
-# --------------------------------------------------------- model prewarming
+# ------------------------------------------------------- model provisioning
 
 
 def _cell_model_params(scheme: Union[str, SchemeSpec]):
@@ -147,8 +151,8 @@ def _cell_model_params(scheme: Union[str, SchemeSpec]):
     competing-flows scenarios carry the tunnel's; the plain registry
     ``Sprout`` uses defaults.  Schemes with no Bayesian model (TCP
     baselines, Sprout-EWMA, direct scenarios) and ad-hoc specs whose
-    config cannot be recovered return ``None`` — the worker then builds on
-    demand, exactly as before, so prewarming can only ever help.
+    config cannot be recovered return ``None`` — the cell is never gated
+    and its process builds on demand, so provisioning can only ever help.
     """
     from repro.core.connection import SproutConfig
     from repro.core.rate_model import RateModelParams
@@ -188,32 +192,99 @@ def required_model_params(cells: Sequence[Cell]) -> List:
 
 
 def prewarm_models(cells: Sequence[Cell], pool_started: bool = False) -> List:
-    """Build (or cache-load) every model artifact the cells need, here.
+    """The disk-off fallback: build the cells' model artifacts here.
 
-    Called by :func:`run_cells` before fanning a batch out, so each missing
-    artifact is built exactly once in the parent and lands in the shared
-    model-artifact cache; workers fork with the warm memory tier or pull
-    the ``.npz`` from disk, never rebuilding per process.  Only the
-    *artifact* is published — no :class:`RateModel` instance is retained
-    in the parent, so prewarming a wide grid cannot pin model instances
-    past the artifact cache's own LRU bound.  Returns the distinct
-    parameter sets that were warmed.
-
-    Prewarming is skipped when parent-side builds cannot reach the
-    workers: with the model cache disabled (``REPRO_MODEL_CACHE=0``, the
-    uncached seed behaviour), or with the disk tier off while the pool's
-    workers already exist (``pool_started`` — fork inheritance can no
-    longer deliver the memory tier).
+    With the disk tier off (``REPRO_MODEL_CACHE_DISK=0``) an artifact built
+    in one worker cannot reach another, so :class:`_ModelGate` stands down
+    and the parent builds each distinct model once, before the workers
+    fork and inherit its memory tier.  Only the *artifact* is published —
+    no :class:`RateModel` instance is retained.  Returns the parameter
+    sets that were warmed: none with the disk tier on (the gate's job),
+    with the cache disabled (``REPRO_MODEL_CACHE=0``: nothing is stored
+    anywhere, every process builds on demand), or once the pool's workers
+    exist (``pool_started`` — there is no fork left to inherit through).
     """
     from repro.core.rate_model import RateModel, model_cache
 
     cache = model_cache()
-    if not cache.enabled or (not cache.use_disk and pool_started):
+    if not cache.enabled or cache.use_disk or pool_started:
         return []
     params_list = required_model_params(cells)
     for params in params_list:
         RateModel(params)
     return params_list
+
+
+def _build_model(params) -> None:
+    """Pool task: build one model artifact into the shared disk tier.
+
+    Returns nothing — the artifact travels through the cache, and a
+    ``RateModel`` result would be pickled back into the parent.
+    """
+    from repro.core.rate_model import RateModel
+
+    RateModel(params)
+
+
+class _ModelGate:
+    """Model builds as pool tasks, and the cells each one holds back.
+
+    See the module docstring for the scheduling contract.  The engines
+    submit :attr:`builds` ahead of the :attr:`open` cells and pass every
+    finished future through :meth:`release`; a build's outcome is never
+    read, because its cells re-raise whatever stopped it.  Stands down
+    (everything :attr:`open`) unless the model cache has a disk tier to
+    carry an artifact from the worker that built it to the others.
+    """
+
+    def __init__(self, sendable: Sequence[Tuple[int, Cell]]):
+        from repro.core.rate_model import model_cache, model_key
+
+        cache = model_cache()
+        gating = cache.enabled and cache.use_disk
+        #: indices free to run at once: model cached, or no model needed
+        self.open: List[int] = []
+        #: missing model -> the indices waiting for its build
+        self.held: Dict[object, List[int]] = {}
+        cached: Dict[object, bool] = {None: True}
+        for index, (scheme, _, _) in sendable:
+            params = _cell_model_params(scheme) if gating else None
+            if params not in cached:
+                cached[params] = cache.contains(model_key(params))
+            if cached[params]:
+                self.open.append(index)
+            else:
+                self.held.setdefault(params, []).append(index)
+        #: builds not yet submitted, in first-use order
+        self.builds = deque(self.held)
+        #: build futures in flight
+        self.building: Dict[Future, object] = {}
+
+    def submit_build(self, pool: ProcessPoolExecutor) -> Future:
+        future = pool.submit(_build_model, self.builds[0])
+        self.building[future] = self.builds.popleft()
+        return future
+
+    def release(self, future: Future) -> Optional[List[int]]:
+        """The cells a finished build frees; ``None`` if not a build."""
+        params = self.building.pop(future, None)
+        return None if params is None else self.held.pop(params)
+
+    def requeue_builds(self) -> None:
+        """Put the builds that were in flight on a killed pool back in line."""
+        self.builds.extendleft(self.building.values())
+        self.building.clear()
+
+    def release_all(self) -> List[int]:
+        """Give up on the builds still in line: their cells build on demand."""
+        self.builds.clear()
+        held = [index for indices in self.held.values() for index in indices]
+        self.held.clear()
+        return held
+
+    def cancel(self) -> None:
+        for future in self.building:
+            future.cancel()
 
 
 def _poolable(value: object) -> object:
@@ -244,10 +315,10 @@ def active_pool() -> Optional[ProcessPoolExecutor]:
 
 @contextmanager
 def shared_pool(jobs: Optional[int] = None) -> Iterator[Optional[ProcessPoolExecutor]]:
-    """Open one warmed worker pool and share it across every matrix inside.
+    """Open one worker pool and share it across every matrix inside.
 
     All :func:`run_matrix` / :func:`run_cells` calls made while the context
-    is active reuse this pool instead of opening (and re-warming) their own.
+    is active reuse this pool instead of opening their own.
     ``jobs`` of ``None`` or ``1`` yields no pool at all — everything inside
     runs serially, which keeps ``shared_pool(cfg.jobs)`` a safe no-op on the
     serial path.  ``0`` means one worker per CPU.  Nested calls reuse the
@@ -263,7 +334,7 @@ def shared_pool(jobs: Optional[int] = None) -> Iterator[Optional[ProcessPoolExec
         yield None
         return
     workers = default_jobs() if jobs == 0 else jobs
-    pool = ProcessPoolExecutor(max_workers=workers, initializer=_warm_worker)
+    pool = ProcessPoolExecutor(max_workers=workers)
     _SHARED_POOL = pool
     try:
         yield pool
@@ -318,13 +389,11 @@ class _PoolHost:
         self.pool.shutdown(wait=False, cancel_futures=True)
 
     def rebuild(self) -> None:
-        """Kill the current pool and stand up a fresh warmed one."""
+        """Kill the current pool and stand up a fresh one."""
         global _SHARED_POOL
         replace_shared = self.shared and _SHARED_POOL is self.pool
         self.kill()
-        self.pool = ProcessPoolExecutor(
-            max_workers=self.workers, initializer=_warm_worker
-        )
+        self.pool = ProcessPoolExecutor(max_workers=self.workers)
         if replace_shared:
             _SHARED_POOL = self.pool
 
@@ -402,29 +471,45 @@ def _run_indices_fast_pool(
 ) -> None:
     """The historical fail-fast fan-out: submit everything, first error wins.
 
-    This is the path every default-policy batch takes; it is byte-for-byte
-    the pre-robustness behavior (golden fixtures run through here).
+    This is the path every default-policy batch takes (golden fixtures run
+    through here).  Missing model builds go in first, then every cell not
+    waiting on one; a build's cells follow as it finishes
+    (:class:`_ModelGate`).
     """
     sendable, local_indices = _split_poolable(cells, indices)
+    sendable_cell = dict(sendable)
+    gate = _ModelGate(sendable)
     future_index = {}
+
+    def submit(index: int) -> Future:
+        scheme, link, config = sendable_cell[index]
+        future = pool.submit(_run_cell, scheme, link, config, 1, index)
+        future_index[future] = index
+        return future
+
     try:
-        for index, (scheme, link, config) in sendable:
-            future = pool.submit(_run_cell, scheme, link, config, 1, index)
-            future_index[future] = index
+        pending = set()
+        while gate.builds:
+            pending.add(gate.submit_build(pool))
+        pending.update(submit(index) for index in gate.open)
 
         # Run the unpicklable cells here while the pool works on the rest.
         for index in local_indices:
             scheme, link, config = cells[index]
             record(index, run_scheme_on_link(scheme, link, config))
 
-        pending = set(future_index)
         while pending:
             done, pending = wait(pending, return_when=FIRST_COMPLETED)
             for future in done:
-                record(future_index[future], future.result())
+                released = gate.release(future)
+                if released is None:
+                    record(future_index[future], future.result())
+                else:
+                    pending.update(submit(index) for index in released)
     except BaseException:
         # Don't let a shared pool (or this pool's shutdown) run the rest of
         # the work to completion behind a propagating error.
+        gate.cancel()
         for future in future_index:
             future.cancel()
         raise
@@ -447,12 +532,17 @@ def _run_indices_fault_tolerant(
     times, after which the remainder of the batch drains serially in the
     parent); a cell in flight across two pool breaks is quarantined to a
     serial in-parent run so one pathological cell cannot wedge the batch.
+
+    Missing model builds (:class:`_ModelGate`) take worker slots ahead of
+    the cells, with no deadline of their own; one lost to a pool break or
+    a neighbour's timeout goes back in line with the rebuilt pool.
     """
     sendable, local_indices = _split_poolable(cells, indices)
     sendable_cell = dict(sendable)
+    gate = _ModelGate(sendable)
     # (index, attempt, suspicion): suspicion counts pool breaks survived
     # while this cell was in flight — two strikes quarantines it.
-    ready = deque((index, 1, 0) for index, _ in sendable)
+    ready = deque((index, 1, 0) for index in gate.open)
     in_flight = {}
     quarantined: List[Tuple[int, int]] = []
     rebuilds = 0
@@ -485,25 +575,35 @@ def _run_indices_fault_tolerant(
         in_flight.clear()
         rebuilds += 1
 
+    def rebuild_pool() -> None:
+        gate.requeue_builds()
+        host.rebuild()
+
     try:
         # Parent-side (unpicklable) cells first: the pool path below blocks
         # on its futures, and these cells obey the same retry semantics.
         for index in local_indices:
             record(index, _run_cell_serially(cells, index, policy))
 
-        while ready or in_flight:
+        while ready or in_flight or gate.builds or gate.building:
             if rebuilds > policy.max_pool_rebuilds:
                 host.kill()
                 drain_serially = True
                 break
             broken = False
             try:
-                while ready and len(in_flight) < host.workers:
-                    index, attempt, suspicion = ready.popleft()
+                while (gate.builds or ready) and (
+                    len(in_flight) + len(gate.building) < host.workers
+                ):
+                    if gate.builds:
+                        gate.submit_build(host.pool)
+                        continue
+                    index, attempt, suspicion = ready[0]
                     scheme, link, config = sendable_cell[index]
                     future = host.pool.submit(
                         _run_cell, scheme, link, config, attempt, index
                     )
+                    ready.popleft()
                     deadline = (
                         time.monotonic() + policy.cell_timeout
                         if policy.cell_timeout is not None
@@ -513,15 +613,14 @@ def _run_indices_fault_tolerant(
             except BrokenExecutor:
                 if policy.fail_fast:
                     raise
-                ready.append((index, attempt, suspicion))
                 absorb_break(
                     [(i, a, s) for i, a, s, _ in in_flight.values()]
                 )
-                host.rebuild()
+                rebuild_pool()
                 continue
 
             poll = None
-            if policy.cell_timeout is not None:
+            if policy.cell_timeout is not None and in_flight:
                 now = time.monotonic()
                 poll = max(
                     0.05,
@@ -530,9 +629,17 @@ def _run_indices_fault_tolerant(
                         for _, _, _, deadline in in_flight.values()
                     ),
                 )
-            done, _ = wait(in_flight, timeout=poll, return_when=FIRST_COMPLETED)
+            done, _ = wait(
+                [*in_flight, *gate.building],
+                timeout=poll,
+                return_when=FIRST_COMPLETED,
+            )
 
             for future in done:
+                released = gate.release(future)
+                if released is not None:
+                    ready.extend((index, 1, 0) for index in released)
+                    continue
                 index, attempt, suspicion, _ = in_flight.pop(future)
                 try:
                     result = future.result()
@@ -554,7 +661,7 @@ def _run_indices_fault_tolerant(
 
             if broken:
                 absorb_break([(i, a, s) for i, a, s, _ in in_flight.values()])
-                host.rebuild()
+                rebuild_pool()
                 continue
 
             if policy.cell_timeout is not None and in_flight:
@@ -592,11 +699,12 @@ def _run_indices_fault_tolerant(
                             ready.append((index, attempt, suspicion))
                     in_flight.clear()
                     rebuilds += 1
-                    host.rebuild()
+                    rebuild_pool()
 
         if drain_serially:
             # The rebuild budget is spent: finish in the parent, where no
             # pool can break.  Quarantined cells join the serial queue.
+            ready.extend((index, 1, 0) for index in gate.release_all())
             for index, attempt, _ in ready:
                 record(
                     index,
@@ -604,6 +712,7 @@ def _run_indices_fault_tolerant(
                 )
             ready.clear()
     except BaseException:
+        gate.cancel()
         for future in in_flight:
             future.cancel()
         raise
@@ -731,44 +840,31 @@ def _dispatch(
     if jobs == 1:
         _run_indices_serial(cells, pending, policy, record)
         return
-    pending_cells = [cells[index] for index in pending]
-    fast = policy.fail_fast and policy.cell_timeout is None
     shared = active_pool()
-    if shared is not None:
-        # A shared pool's workers spawn lazily on first submit; once any
-        # exist, fork inheritance cannot deliver new in-memory artifacts.
-        prewarm_models(
-            pending_cells, pool_started=bool(getattr(shared, "_processes", None))
-        )
-        if fast:
-            _run_indices_fast_pool(shared, cells, pending, record)
-        else:
-            host = _PoolHost(
-                shared, getattr(shared, "_max_workers", None) or default_jobs(), True
-            )
-            _run_indices_fault_tolerant(host, cells, pending, policy, record)
-        return
     workers = min(jobs or 1, len(pending))
-    if workers <= 1:
+    if shared is None and workers <= 1:
         _run_indices_serial(cells, pending, policy, record)
         return
-    # Build every distinct model artifact once, before the pool exists, so
-    # the workers fork with (or disk-load) warm caches instead of each
-    # rebuilding every swept model.
-    prewarm_models(pending_cells)
-    if fast:
-        with ProcessPoolExecutor(max_workers=workers, initializer=_warm_worker) as pool:
-            _run_indices_fast_pool(pool, cells, pending, record)
-        return
-    host = _PoolHost(
-        ProcessPoolExecutor(max_workers=workers, initializer=_warm_worker),
-        workers,
-        False,
+    # Disk-off fallback only, and only while no worker has forked yet (a
+    # pool's workers spawn lazily, on its first submit).
+    prewarm_models(
+        [cells[index] for index in pending],
+        pool_started=bool(getattr(shared, "_processes", None)),
     )
+    if shared is not None:
+        host = _PoolHost(
+            shared, getattr(shared, "_max_workers", None) or default_jobs(), True
+        )
+    else:
+        host = _PoolHost(ProcessPoolExecutor(max_workers=workers), workers, False)
     try:
-        _run_indices_fault_tolerant(host, cells, pending, policy, record)
+        if policy.fail_fast and policy.cell_timeout is None:
+            _run_indices_fast_pool(host.pool, cells, pending, record)
+        else:
+            _run_indices_fault_tolerant(host, cells, pending, policy, record)
     finally:
-        host.pool.shutdown(wait=True)
+        if not host.shared:
+            host.pool.shutdown(wait=True)
 
 
 def run_matrix(

@@ -75,8 +75,8 @@ def sprout_variant_config(spec: SchemeSpec) -> "SproutConfig | None":
 
     Returns ``None`` for specs built any other way.  This is the one place
     that knows the variant factory's shape, so the sweep expanders and the
-    model prewarmer recover configs through a checkable contract instead of
-    each pattern-matching ``partial`` internals.
+    pool's model scheduler recover configs through a checkable contract
+    instead of each pattern-matching ``partial`` internals.
     """
     factory = spec.factory
     if (

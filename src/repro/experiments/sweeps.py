@@ -6,12 +6,13 @@ paper's frozen parameters.  This module generalises that into N-dimensional
 :data:`SWEEP_PARAMETERS`) and the values to try per axis; the engine expands
 the Cartesian product of every ``coordinate × scheme × link`` combination
 into an explicit matrix cell and runs the whole flattened batch through
-:func:`repro.experiments.parallel.run_cells` — one warmed worker pool for
-the entire grid, with the shared trace cache (:mod:`repro.traces.cache`)
-deduplicating trace generation across cells and the model-artifact cache
-prewarmed for every distinct swept :class:`RateModelParams` before the
-fan-out (:func:`repro.experiments.parallel.prewarm_models`), so a wide
-sigma/tick grid builds each model once ever instead of once per worker.
+:func:`repro.experiments.parallel.run_cells` — one worker pool for the
+entire grid, with the shared trace cache (:mod:`repro.traces.cache`)
+deduplicating trace generation across cells and every distinct swept
+:class:`RateModelParams` the model-artifact cache lacks built by the pool
+itself, one task per model ahead of the cells it gates, so a wide
+sigma/tick grid builds its models side by side, each once ever instead of
+once per worker.
 :class:`SweepSpec` survives as the one-axis special case and is
 implemented on top of the grid engine.
 
@@ -760,7 +761,7 @@ def run_sweep_suite(
     progress: Optional[ProgressCallback] = None,
     jobs: Optional[int] = None,
 ) -> List[SweepData]:
-    """Run several sweeps over **one** shared warmed worker pool."""
+    """Run several sweeps over **one** shared worker pool."""
     with shared_pool(jobs):
         return [
             run_sweep(spec, config=config, progress=progress, jobs=jobs)

@@ -106,6 +106,12 @@ def test_model_key_covers_params_paths_and_version():
     assert model_key(replace(SMALL, sigma=121.0), PATHS) != base
     assert model_key(replace(SMALL, tick=0.021), PATHS) != base
     assert model_key(SMALL, PATHS + 1) != base
+    # One source for the default ensemble size: the key a bare RateModel(params)
+    # stores under is the key the pool scheduler asks ``contains`` about.
+    from repro.core.rate_model import DEFAULT_FORECAST_PATHS
+
+    assert model_key(SMALL) == model_key(SMALL, DEFAULT_FORECAST_PATHS)
+    assert RateModel.__init__.__defaults__ == (None, DEFAULT_FORECAST_PATHS)
 
 
 # ------------------------------------------------------------- disk layer
@@ -211,6 +217,38 @@ def test_disabled_cache_writes_nothing(scoped_cache, tmp_path):
     scoped_cache.enabled = False
     RateModel(SMALL, PATHS)
     assert list(tmp_path.iterdir()) == []
+
+
+# ---------------------------------------------------------------- contains
+
+
+def test_contains_reports_memory_or_disk_without_touching_stats(scoped_cache, tmp_path):
+    key = model_key(SMALL, PATHS)
+    assert not scoped_cache.contains(key)  # absent
+    RateModel(SMALL, PATHS)
+    before = scoped_cache.stats.as_dict()
+    assert scoped_cache.contains(key)  # memory (and disk)
+    scoped_cache.clear()
+    assert scoped_cache.contains(key)  # disk file only
+    scoped_cache.use_disk = False
+    assert not scoped_cache.contains(key)  # the file is out of reach
+    RateModel(SMALL, PATHS)
+    assert scoped_cache.contains(key)  # memory only
+    before["misses"] += 1
+    assert scoped_cache.stats.as_dict() == before
+    scoped_cache.enabled = False
+    assert not scoped_cache.contains(key)  # a disabled cache holds nothing
+
+
+def test_contains_is_a_hint_a_truncated_file_still_heals(scoped_cache, tmp_path):
+    """The pool scheduler trusts ``contains``; ``get`` must absorb a bad file."""
+    reference = RateModel(SMALL, PATHS)
+    (path,) = [p for p in tmp_path.iterdir() if p.suffix == ".npz"]
+    path.write_bytes(path.read_bytes()[:100])
+    scoped_cache.clear()
+    assert scoped_cache.contains(model_key(SMALL, PATHS))  # the file is not read
+    _assert_models_bit_identical(reference, RateModel(SMALL, PATHS))
+    assert scoped_cache.stats.misses == 2  # rebuilt, not trusted
 
 
 # ------------------------------------------------------------- concurrency

@@ -356,18 +356,34 @@ def test_grid_cells_report_their_model_params_for_prewarming():
     )
     assert required_model_params(expand_grid(direct, TINY)) == []
 
-    # With the model cache disabled, prewarming is a no-op: parent-side
-    # builds could not reach the workers, so the seed behaviour is kept.
-    from repro.core.rate_model import model_cache
-    from repro.experiments.parallel import prewarm_models
 
-    cache = model_cache()
-    saved = cache.enabled
-    cache.enabled = False
-    try:
-        assert prewarm_models([("Sprout", LINK, TINY)]) == []
-    finally:
-        cache.enabled = saved
+def test_prewarm_models_is_only_the_disk_off_fallback(tmp_path):
+    """Parent-side builds happen only where a worker's could not be shared."""
+    from repro.core.connection import SproutConfig
+    from repro.core.rate_model import RateModelParams, model_cache_directory, model_key
+    from repro.experiments.parallel import prewarm_models
+    from repro.experiments.registry import sprout_variant
+
+    small = RateModelParams(num_bins=16, forecast_ticks=3)  # builds in ~50 ms
+    cells = [(sprout_variant("Sprout-16", SproutConfig(model_params=small)), LINK, TINY)]
+    with model_cache_directory(str(tmp_path)) as cache:
+        saved = (cache.enabled, cache.use_disk)
+        try:
+            # Disk tier on: the pool builds missing models as gated tasks.
+            assert prewarm_models(cells) == []
+            # Cache disabled: nothing built here could be kept, let alone shared.
+            cache.enabled = False
+            assert prewarm_models(cells) == []
+            cache.enabled, cache.use_disk = True, False
+            # Memory-only, workers already forked: no fork left to inherit by.
+            assert prewarm_models(cells, pool_started=True) == []
+            assert not cache.contains(model_key(small))
+            # Memory-only, before the fork: built here, for the workers to inherit.
+            assert prewarm_models(cells) == [small]
+            assert cache.contains(model_key(small))
+        finally:
+            cache.enabled, cache.use_disk = saved
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_run_sweep_groups_points_by_value():
