@@ -4,7 +4,7 @@
 PYTHON ?= python
 export PYTHONPATH := src:$(PYTHONPATH)
 
-.PHONY: test test-fast smoke test-fault test-oracle test-live test-chaos cov bench bench-batched bench-analytic bench-e2e bench-pair docs-check
+.PHONY: test test-fast smoke test-fault test-oracle test-live test-chaos cov bench bench-batched bench-analytic bench-e2e bench-pair docs-check loc
 
 ## full suite, including perf benchmarks (the tier-1 gate)
 test:
@@ -40,15 +40,15 @@ test-chaos:
 cov:
 	$(PYTHON) scripts/coverage_gate.py
 
-## performance benchmarks, refreshing BENCH_PERF.json
+## performance benchmarks; BENCH_PERF.json is a local, git-ignored record
 bench:
 	$(PYTHON) -m pytest benchmarks/test_bench_perf.py -q -s
 
-## batched cross-cell engine benchmark only (the BENCH_PERF.json `batched` section)
+## batched cross-cell engine benchmark only (the local record's `batched` section)
 bench-batched:
 	$(PYTHON) -m pytest benchmarks/test_bench_perf.py::test_bench_batched_cells_per_sec -q -s
 
-## analytic screening benchmark only (the BENCH_PERF.json `analytic` section)
+## analytic screening benchmark only (the local record's `analytic` section)
 bench-analytic:
 	$(PYTHON) -m pytest benchmarks/test_bench_perf.py::test_bench_analytic_screening_rate -q -s
 
@@ -65,3 +65,8 @@ bench-pair:
 ## docs gate: validate markdown cross-links, smoke-run examples/*.py
 docs-check:
 	$(PYTHON) scripts/docs_check.py
+
+## size of src/repro: total lines, code-only lines, public experiment names
+## (scripts/loc.py; `make loc FILES="parallel.py sweeps.py"` adds per-file rows)
+loc:
+	$(PYTHON) scripts/loc.py $(FILES)

@@ -1,7 +1,10 @@
 """Performance benchmark: inference fast path and parallel matrix runner.
 
-Two measurements, both recorded to ``BENCH_PERF.json`` at the repository
-root so the performance trajectory is trackable across PRs:
+Each measurement is recorded to ``BENCH_PERF.json`` at the repository root —
+a local, git-ignored record; the tracked trajectory is the repo benchmark's
+(``python3 -m bench``, bench/README.md).  The assertions are exact things
+only: bit-identity, work counters and loose catastrophic-regression floors,
+never one wall-clock against another.
 
 * ``forecaster``: sustained ticks/second of the paper-parameter Bayesian
   forecaster running the receiver's per-20 ms loop (one belief update plus
@@ -19,13 +22,12 @@ root so the performance trajectory is trackable across PRs:
   deep vs bounded buffer, per-flow metrics on) against the same cells run
   one by one with the trace cache off — the discipline swap and per-flow
   collection must stay collection-cost-only, bit-identical physics;
-* ``fault_recovery``: the fault-tolerant scheduler's price (docs/robustness.md)
-  — a clean grid under the ``collect`` error policy vs the fail-fast fast
-  path (bit-identical, overhead bounded), plus a crashing grid's recovery
-  wall-clock;
+* ``fault_recovery``: the error policies on the one pooled engine
+  (docs/robustness.md) — a clean grid under ``collect`` vs ``fail_fast``
+  (bit-identical), plus a crashing grid's recovery wall-clock;
 * ``batched``: the batched cross-cell engine (docs/performance.md Layer 4)
-  on a 256-cell single-scheme grid — cells/sec against the pooled serial
-  engine on the same cells, bit-identical results required;
+  on a 256-cell single-scheme grid — cells/sec against the pooled engine
+  on the same cells, bit-identical results required;
 * ``live_loopback``: the real-socket transport (docs/transport.md) — one
   ``repro live`` harness transfer over clean loopback UDP, recording
   throughput and per-packet delay percentiles with deliberately loose
@@ -33,9 +35,8 @@ root so the performance trajectory is trackable across PRs:
 * ``model_build``: the model-artifact cache (docs/performance.md Layer 3)
   — cold RateModel build vs warm disk load vs warm memory hit, with a
   bit-identity check between cold and warm arrays, plus a 4-value sigma
-  grid run twice (cold caches, then disk-warm) to show the grid's
-  wall-clock no longer scales with the number of distinct swept model
-  parameter sets after the first run.
+  grid run twice (cold caches, then disk-warm): the rerun builds nothing
+  and loads each distinct swept model from disk exactly once.
 
 The matrix speedup is hardware dependent (worker warm-up dominates on a
 single core); the JSON record carries ``cpu_count`` so readers can judge
@@ -67,11 +68,8 @@ from repro.experiments.runner import RunConfig, run_scheme_on_link
 from repro.experiments.runner import run_matrix as run_matrix_serial
 from repro.experiments.sweeps import (
     GridSpec,
-    SweepSpec,
     expand_grid,
-    expand_sweep,
     run_grid,
-    run_sweep,
 )
 from repro.traces.cache import global_cache
 
@@ -174,9 +172,9 @@ def test_bench_matrix_wallclock():
 
 
 #: the small sweep measured by the sweep wall-clock benchmark
-SWEEP_SPEC = SweepSpec(
-    parameter="loss",
-    values=(0.0, 0.01, 0.02),
+SWEEP_SPEC = GridSpec(
+    parameters=("loss",),
+    values=((0.0, 0.01, 0.02),),
     schemes=("Vegas",),
     links=("AT&T LTE uplink",),
 )
@@ -188,12 +186,12 @@ def test_bench_sweep_wallclock():
     hits_before = cache.stats.memory_hits + cache.stats.disk_hits
 
     start = time.perf_counter()
-    fast = run_sweep(SWEEP_SPEC, config=MATRIX_CONFIG, jobs=MATRIX_JOBS)
+    fast = run_grid(SWEEP_SPEC, config=MATRIX_CONFIG, jobs=MATRIX_JOBS)
     fast_s = time.perf_counter() - start
     hits = (cache.stats.memory_hits + cache.stats.disk_hits) - hits_before
 
     # Reference: the same expanded cells, one by one, trace cache off.
-    cells = expand_sweep(SWEEP_SPEC, MATRIX_CONFIG)
+    cells = expand_grid(SWEEP_SPEC, MATRIX_CONFIG)
     was_enabled = cache.enabled
     cache.enabled = False
     try:
@@ -210,8 +208,8 @@ def test_bench_sweep_wallclock():
     _record(
         "sweep",
         {
-            "parameter": SWEEP_SPEC.parameter,
-            "values": list(SWEEP_SPEC.values),
+            "parameter": SWEEP_SPEC.parameters[0],
+            "values": list(SWEEP_SPEC.values[0]),
             "schemes": list(SWEEP_SPEC.schemes),
             "links": list(SWEEP_SPEC.links),
             "cells": len(cells),
@@ -343,8 +341,7 @@ def test_bench_aqm_wallclock():
           f"({len(cells)} cells, jobs={MATRIX_JOBS})")
 
 
-#: the clean grid used to price the fault-tolerant scheduler against the
-#: historical fail-fast fast path (docs/robustness.md)
+#: the clean grid run under both error policies (docs/robustness.md)
 FAULT_GRID_SPEC = GridSpec(
     parameters=("loss",),
     values=((0.0, 0.005, 0.01, 0.015, 0.02, 0.025),),
@@ -357,12 +354,12 @@ FAULT_JOBS = min(MATRIX_JOBS, 2) or 2
 
 
 def test_bench_fault_recovery():
-    """The robustness layer's price tag, on the record.
+    """The robustness layer, on the record.
 
-    Two measurements: a clean grid under ``collect`` vs the fail-fast fast
-    path (bit-identical results, and the resilient scheduler's overhead
-    must stay under 5% — best-of-two, interleaved so drift hits both), and
-    a crashing grid under ``collect`` (one poison cell, the rest finish).
+    Two measurements: a clean grid under ``collect`` and under ``fail_fast``
+    (one engine runs both, so the results must be bit-identical; the
+    wall-clocks are recorded best-of-two, interleaved so drift hits both),
+    and a crashing grid under ``collect`` (one poison cell, the rest finish).
     """
     fail_fast = ErrorPolicy()
     collect = ErrorPolicy(on_error="collect")
@@ -381,12 +378,6 @@ def test_bench_fault_recovery():
     assert outputs["collect"] == outputs["fail_fast"]
     fail_fast_s = min(timings["fail_fast"])
     collect_s = min(timings["collect"])
-    # The acceptance bar: the resilient scheduler's clean-grid overhead is
-    # bounded in *absolute value* — the measured overhead came out -2.16%
-    # on the 1-CPU runner, so a signed gate would flap on timer noise in
-    # either direction (small absolute slack so a sub-second grid cannot
-    # flake it either).
-    assert abs(collect_s - fail_fast_s) <= 0.10 * fail_fast_s + 0.2
 
     # Recovery run: one always-crashing cell must not sink the grid.
     spec_env = os.environ.get("REPRO_FAULT_SPEC")
@@ -452,12 +443,13 @@ BATCHED_JOBS = min(MATRIX_JOBS, 2) or 2
 def test_bench_batched_cells_per_sec():
     """The batched cross-cell engine's price of admission, on the record.
 
-    One 256-cell Sprout grid through the pooled serial engine and through
-    ``backend="batched"``; results must be bit-identical, and the batched
-    engine must be decisively faster.  Traces are prewarmed in the parent
-    (sub-second) so neither engine is charged for trace generation — the
-    pooled path builds traces in its workers, which the parent-side batched
-    engine cannot reuse.
+    One 256-cell Sprout grid through the pooled engine and through
+    ``backend="batched"``; results must be bit-identical (that the batched
+    engine really steps in lockstep rather than falling back per cell is
+    pinned by its own counters in tests/test_batched.py).  Traces are
+    prewarmed in the parent (sub-second) so neither engine is charged for
+    trace generation — the pooled path builds traces in its workers, which
+    the parent-side batched engine cannot reuse.
     """
     from repro.cellsim.cellsim import traces_for_link
     from repro.experiments.parallel import shared_pool
@@ -483,11 +475,6 @@ def test_bench_batched_cells_per_sec():
 
     cells_n = len(cells)
     ratio = pooled_s / batched_s if batched_s > 0 else None
-    # Conservative floor: the measured ratio on the 1-CPU runner sits
-    # around 2× (see docs/performance.md for the Amdahl decomposition);
-    # the gate only catches the engine falling back to per-cell stepping,
-    # not timer noise on a loaded box.
-    assert batched_s < pooled_s
 
     _record(
         "batched",
@@ -516,8 +503,8 @@ def test_bench_batched_cells_per_sec():
 #: measurement is genuinely cold even inside a shared benchmark session
 MODEL_BUILD_PARAMS = RateModelParams(sigma=170.0)
 
-#: the sigma grid used to show wall-clock no longer scales with the number
-#: of distinct swept model parameter sets once the artifact cache is warm
+#: the sigma grid used to show a rerun builds no model once the artifact
+#: cache is warm: one disk load per distinct swept parameter set
 SIGMA_GRID_SPEC = GridSpec(
     parameters=("sigma",),
     values=((150.0, 175.0, 225.0, 250.0),),
@@ -569,13 +556,15 @@ def test_bench_model_build(tmp_path):
         first_s = time.perf_counter() - start
         clear_shared_models()
         cache.clear()
+        before = cache.stats.as_dict()
         start = time.perf_counter()
         second = run_grid(SIGMA_GRID_SPEC, config=SIGMA_GRID_CONFIG, jobs=1)
         second_s = time.perf_counter() - start
         assert [r.as_dict() for p in first.points for r in p.results] == [
             r.as_dict() for p in second.points for r in p.results
         ]
-        assert second_s < first_s
+        rerun = {k: v - before[k] for k, v in cache.stats.as_dict().items()}
+        assert (rerun["misses"], rerun["disk_hits"]) == (0, 4)
     finally:
         cache.directory, cache.use_disk, cache.enabled = saved
         cache.clear()

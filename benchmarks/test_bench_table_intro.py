@@ -27,7 +27,7 @@ def test_bench_table_intro(benchmark, measurement_matrix):
     # the videoconference applications is many-fold, while its throughput is
     # at least competitive.  (The paper reports 1.9-4.4x throughput gains;
     # our synthetic slow 3G links make the cautious forecast give some of
-    # that back — see EXPERIMENTS.md for the per-link discussion.)
+    # that back.)
     for app in ("Skype", "Google Hangout", "Facetime"):
         assert by_scheme[app].speedup > 0.8
         assert by_scheme[app].delay_reduction > 3.0

@@ -1,9 +1,8 @@
 """Structured exports of sweep/grid results: tidy CSV and structured JSON.
 
-Every finished :class:`~repro.experiments.sweeps.GridData` (or one-axis
-:class:`~repro.experiments.sweeps.SweepData`) can be serialised for plotting
-or archival without re-running a single emulation.  Two formats, both
-schema-versioned (:data:`EXPORT_SCHEMA_VERSION`) and documented
+Every finished :class:`~repro.experiments.sweeps.GridData` can be serialised
+for plotting or archival without re-running a single emulation.  Two formats,
+both schema-versioned (:data:`EXPORT_SCHEMA_VERSION`) and documented
 column-by-column / key-by-key in ``docs/scenarios.md``:
 
 * **CSV** (:func:`export_csv`) — tidy long format: one row per measured
@@ -62,7 +61,7 @@ from dataclasses import fields
 from typing import Dict, List, Sequence, Union
 
 from repro.experiments.policy import CellError, is_cell_error
-from repro.experiments.sweeps import GridData, GridPoint, GridSpec, SweepData
+from repro.experiments.sweeps import GridData, GridPoint, GridSpec
 from repro.metrics.flows import FlowMetrics
 from repro.metrics.summary import SchemeResult, ScreenedResult, is_screened
 
@@ -106,16 +105,7 @@ FLOW_COLUMNS: List[str] = [
 #: success rows, ``"ErrorType: message"`` on a failed cell's row
 ERROR_COLUMN = "error"
 
-GridLike = Union[GridData, SweepData]
-
 _INF = float("inf")
-
-
-def as_grid_data(data: GridLike) -> GridData:
-    """Normalise sweep results to grid results (sweeps are one-axis grids)."""
-    if isinstance(data, SweepData):
-        return data.to_grid_data()
-    return data
 
 
 def csv_columns(spec: GridSpec) -> List[str]:
@@ -132,7 +122,7 @@ def csv_columns(spec: GridSpec) -> List[str]:
     ]
 
 
-def export_rows(data: GridLike) -> List[Dict[str, object]]:
+def export_rows(grid: GridData) -> List[Dict[str, object]]:
     """The tidy long-format rows of an export.
 
     One aggregate row per measured cell (flow columns ``None``,
@@ -144,7 +134,6 @@ def export_rows(data: GridLike) -> List[Dict[str, object]]:
     measured metric ``None``, ``screened = 1``, and the prediction in the
     ``predicted_*`` / ``prediction_uncertainty`` columns.
     """
-    grid = as_grid_data(data)
     rows: List[Dict[str, object]] = []
     for point in grid.points:
         for result in point.results:
@@ -194,9 +183,8 @@ def export_rows(data: GridLike) -> List[Dict[str, object]]:
     return rows
 
 
-def export_csv(data: GridLike) -> str:
-    """Serialise a grid/sweep as tidy long-format CSV (exact floats)."""
-    grid = as_grid_data(data)
+def export_csv(grid: GridData) -> str:
+    """Serialise a grid as tidy long-format CSV (exact floats)."""
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(csv_columns(grid.spec))
@@ -235,11 +223,10 @@ def _jsonable(value: object) -> object:
     return value
 
 
-def export_json(data: GridLike) -> str:
-    """Serialise a grid/sweep as structured JSON (exact floats via repr;
+def export_json(grid: GridData) -> str:
+    """Serialise a grid as structured JSON (exact floats via repr;
     nan as ``null`` and infinities as ``"Infinity"`` / ``"-Infinity"``
     strings so the output stays strict RFC 8259)."""
-    grid = as_grid_data(data)
     spec = grid.spec
     payload = {
         "schema_version": EXPORT_SCHEMA_VERSION,
@@ -287,7 +274,7 @@ def _point_payload(point: GridPoint) -> Dict[str, object]:
     return payload
 
 
-def export_text(data: GridLike, fmt: str) -> str:
+def export_text(data: GridData, fmt: str) -> str:
     """Dispatch on format name: ``"csv"`` or ``"json"``."""
     if fmt == "csv":
         return export_csv(data)
@@ -296,7 +283,7 @@ def export_text(data: GridLike, fmt: str) -> str:
     raise ValueError(f"unknown export format {fmt!r}; valid formats: csv, json")
 
 
-def write_export(data: GridLike, fmt: str, path: str) -> None:
+def write_export(data: GridData, fmt: str, path: str) -> None:
     """Write an export to ``path`` (see :func:`export_text`)."""
     text = export_text(data, fmt)
     with open(path, "w", encoding="utf-8", newline="") as handle:

@@ -23,38 +23,37 @@ their cells (:class:`_ModelGate`): each distinct
 :class:`~repro.core.rate_model.RateModelParams` the cells will request
 (:func:`required_model_params` — swept sigma/tick variants, tunnelled
 scenarios carrying a tuned Sprout, the defaults) whose artifact is in
-neither cache tier becomes one build task, submitted ahead of every cell
-(longest tasks first); cells whose model is already cached, or that need
-none, queue right behind the builds; the cells of a missing model are
-submitted the moment its build finishes and load it from the disk tier (or
-the builder's own memory tier).  No model is built twice, no cell waits for
+neither cache tier becomes one build task, given a worker slot ahead of
+every cell (longest tasks first); cells whose model is already cached, or
+that need none, queue right behind the builds; the cells of a missing model
+join the queue the moment its build finishes and load it from the disk tier
+(or the builder's own memory tier).  No model is built twice, no cell waits for
 a model other than its own, and the parent neither builds nor holds an
 artifact.  The gate only orders work: a build that fails still releases
 its cells, which then hit the same error in their own ``RateModel(params)``
 call, so every error policy sees exactly the per-cell outcome.  With the
 disk tier off (``REPRO_MODEL_CACHE_DISK=0``) a worker-built artifact cannot
-reach another process, so the parent builds before the workers fork
-instead (:func:`prewarm_models`); with the cache disabled every process
-builds on demand, the seed behaviour.
+reach another process, so the gate stands down and every process builds on
+demand, as it does with the cache disabled.
 
 Cells whose scheme cannot be pickled (ad-hoc :class:`SchemeSpec` instances
 built around closures) are detected up front and run in the parent process
-while the pool chews on the rest; the result ordering is unaffected.
-Registry-built sweep variants (:func:`~repro.experiments.registry.sprout_variant`)
-pickle fine and parallelise normally.
+once the pool has its first window of work; the result ordering is
+unaffected.  Registry-built sweep variants
+(:func:`~repro.experiments.registry.sprout_variant`) pickle fine and
+parallelise normally.
 
-Failure handling is governed by an :class:`~repro.experiments.policy.ErrorPolicy`
-(docs/robustness.md).  The default — ``fail_fast`` with no per-cell
-timeout — takes the exact historical code path and stays bit-identical to
-the serial runner.  Under ``collect``/``retry`` (or with a ``cell_timeout``
-or checkpoint), the batch instead runs on a fault-tolerant scheduler that
-records failed cells as structured
+Every pooled batch runs on one scheduler, governed by an
+:class:`~repro.experiments.policy.ErrorPolicy` (docs/robustness.md).  The
+default — ``fail_fast`` — propagates the first cell exception and cancels
+the rest, bit-identical to the serial runner.  Under ``collect``/``retry``
+the same scheduler records failed cells as structured
 :class:`~repro.experiments.policy.CellError` outcomes in-place, retries
-within the policy's budget, enforces per-cell wall-clock deadlines by
-killing and rebuilding the worker pool, heals a pool broken by a
-hard-dying worker (bounded by ``max_pool_rebuilds``), quarantines a cell
-that breaks the pool twice to a serial in-parent run, and journals
-completed cells for checkpoint/resume.
+within the policy's budget, heals a pool broken by a hard-dying worker
+(bounded by ``max_pool_rebuilds``) and quarantines a cell that breaks the
+pool twice to a serial in-parent run; with a ``cell_timeout`` it enforces
+per-cell wall-clock deadlines by killing and rebuilding the worker pool.
+Completed cells are journaled for checkpoint/resume under any policy.
 """
 
 from __future__ import annotations
@@ -110,9 +109,8 @@ Cell = Tuple[Union[str, SchemeSpec], Union[str, LinkSpec], Optional[RunConfig]]
 CellOutcome = Union[SchemeResult, CellError]
 
 #: callback invoked with each finished cell outcome of a batch.  Under the
-#: default ``fail_fast`` policy this only ever sees ``SchemeResult``s (the
-#: historical contract); under ``collect``/``retry`` it also receives the
-#: ``CellError`` of each failed cell.
+#: default ``fail_fast`` policy this only ever sees ``SchemeResult``s; under
+#: ``collect``/``retry`` it also receives the ``CellError`` of each failed cell.
 ProgressCallback = Callable[[CellOutcome], None]
 
 
@@ -189,30 +187,6 @@ def required_model_params(cells: Sequence[Cell]) -> List:
         if params is not None and params not in seen:
             seen[params] = None
     return list(seen)
-
-
-def prewarm_models(cells: Sequence[Cell], pool_started: bool = False) -> List:
-    """The disk-off fallback: build the cells' model artifacts here.
-
-    With the disk tier off (``REPRO_MODEL_CACHE_DISK=0``) an artifact built
-    in one worker cannot reach another, so :class:`_ModelGate` stands down
-    and the parent builds each distinct model once, before the workers
-    fork and inherit its memory tier.  Only the *artifact* is published —
-    no :class:`RateModel` instance is retained.  Returns the parameter
-    sets that were warmed: none with the disk tier on (the gate's job),
-    with the cache disabled (``REPRO_MODEL_CACHE=0``: nothing is stored
-    anywhere, every process builds on demand), or once the pool's workers
-    exist (``pool_started`` — there is no fork left to inherit through).
-    """
-    from repro.core.rate_model import RateModel, model_cache
-
-    cache = model_cache()
-    if not cache.enabled or cache.use_disk or pool_started:
-        return []
-    params_list = required_model_params(cells)
-    for params in params_list:
-        RateModel(params)
-    return params_list
 
 
 def _build_model(params) -> None:
@@ -357,8 +331,8 @@ _KILL_JOIN_TIMEOUT = 5.0
 class _PoolHost:
     """Owns one worker pool on behalf of a batch, replaceable mid-batch.
 
-    The fault-tolerant scheduler kills and rebuilds the pool after a
-    worker dies hard or a cell timeout expires.  When the hosted pool is
+    The scheduler kills and rebuilds the pool after a worker dies hard or
+    a cell timeout expires.  When the hosted pool is
     the :func:`shared_pool` one, a rebuild also swaps the module-level
     ``_SHARED_POOL`` so later batches (and the context manager's final
     shutdown) see the live replacement, never the corpse.
@@ -463,58 +437,6 @@ def _split_poolable(
     return sendable, local
 
 
-def _run_indices_fast_pool(
-    pool: ProcessPoolExecutor,
-    cells: Sequence[Cell],
-    indices: Sequence[int],
-    record: _RecordFn,
-) -> None:
-    """The historical fail-fast fan-out: submit everything, first error wins.
-
-    This is the path every default-policy batch takes (golden fixtures run
-    through here).  Missing model builds go in first, then every cell not
-    waiting on one; a build's cells follow as it finishes
-    (:class:`_ModelGate`).
-    """
-    sendable, local_indices = _split_poolable(cells, indices)
-    sendable_cell = dict(sendable)
-    gate = _ModelGate(sendable)
-    future_index = {}
-
-    def submit(index: int) -> Future:
-        scheme, link, config = sendable_cell[index]
-        future = pool.submit(_run_cell, scheme, link, config, 1, index)
-        future_index[future] = index
-        return future
-
-    try:
-        pending = set()
-        while gate.builds:
-            pending.add(gate.submit_build(pool))
-        pending.update(submit(index) for index in gate.open)
-
-        # Run the unpicklable cells here while the pool works on the rest.
-        for index in local_indices:
-            scheme, link, config = cells[index]
-            record(index, run_scheme_on_link(scheme, link, config))
-
-        while pending:
-            done, pending = wait(pending, return_when=FIRST_COMPLETED)
-            for future in done:
-                released = gate.release(future)
-                if released is None:
-                    record(future_index[future], future.result())
-                else:
-                    pending.update(submit(index) for index in released)
-    except BaseException:
-        # Don't let a shared pool (or this pool's shutdown) run the rest of
-        # the work to completion behind a propagating error.
-        gate.cancel()
-        for future in future_index:
-            future.cancel()
-        raise
-
-
 def _run_indices_fault_tolerant(
     host: _PoolHost,
     cells: Sequence[Cell],
@@ -522,24 +444,29 @@ def _run_indices_fault_tolerant(
     policy: ErrorPolicy,
     record: _RecordFn,
 ) -> None:
-    """The resilient fan-out: retries, deadlines, healing, quarantine.
+    """The pooled fan-out: retries, deadlines, healing, quarantine.
 
-    Engaged whenever the policy is not plain fail-fast (``collect`` /
-    ``retry``, a ``cell_timeout``, or both).  Submission is bounded to one
-    in-flight cell per worker so a cell's wall-clock deadline can be
-    measured from its submit time; a hung or hard-dying worker is handled
-    by killing and rebuilding the pool (at most ``policy.max_pool_rebuilds``
-    times, after which the remainder of the batch drains serially in the
-    parent); a cell in flight across two pool breaks is quarantined to a
-    serial in-parent run so one pathological cell cannot wedge the batch.
+    Every pooled batch runs here.  Under fail-fast the first cell exception
+    or pool break propagates and everything outstanding is cancelled.
+    Otherwise a hung or hard-dying worker is handled by killing and
+    rebuilding the pool (at most ``policy.max_pool_rebuilds`` times, after
+    which the remainder of the batch drains serially in the parent); a cell
+    in flight across two pool breaks is quarantined to a serial in-parent
+    run so one pathological cell cannot wedge the batch.
 
     Missing model builds (:class:`_ModelGate`) take worker slots ahead of
     the cells, with no deadline of their own; one lost to a pool break or
     a neighbour's timeout goes back in line with the rebuilt pool.
     """
-    sendable, local_indices = _split_poolable(cells, indices)
+    sendable, local = _split_poolable(cells, indices)
     sendable_cell = dict(sendable)
     gate = _ModelGate(sendable)
+    # One task per worker keeps a deadline honest (it runs from submit time)
+    # and the suspect list short when the pool breaks.  A batch that needs
+    # neither queues a second task behind each worker, so none idles for
+    # the parent's round trip between short cells.
+    plain_fail_fast = policy.fail_fast and policy.cell_timeout is None
+    window = host.workers * (2 if plain_fail_fast else 1)
     # (index, attempt, suspicion): suspicion counts pool breaks survived
     # while this cell was in flight — two strikes quarantines it.
     ready = deque((index, 1, 0) for index in gate.open)
@@ -580,12 +507,7 @@ def _run_indices_fault_tolerant(
         host.rebuild()
 
     try:
-        # Parent-side (unpicklable) cells first: the pool path below blocks
-        # on its futures, and these cells obey the same retry semantics.
-        for index in local_indices:
-            record(index, _run_cell_serially(cells, index, policy))
-
-        while ready or in_flight or gate.builds or gate.building:
+        while ready or in_flight or gate.builds or gate.building or local:
             if rebuilds > policy.max_pool_rebuilds:
                 host.kill()
                 drain_serially = True
@@ -593,7 +515,7 @@ def _run_indices_fault_tolerant(
             broken = False
             try:
                 while (gate.builds or ready) and (
-                    len(in_flight) + len(gate.building) < host.workers
+                    len(in_flight) + len(gate.building) < window
                 ):
                     if gate.builds:
                         gate.submit_build(host.pool)
@@ -618,6 +540,12 @@ def _run_indices_fault_tolerant(
                 )
                 rebuild_pool()
                 continue
+
+            # Parent-side (unpicklable) cells, once the pool has its first
+            # window of work to overlap them; same retry semantics.
+            for index in local:
+                record(index, _run_cell_serially(cells, index, policy))
+            local.clear()
 
             poll = None
             if policy.cell_timeout is not None and in_flight:
@@ -704,7 +632,7 @@ def _run_indices_fault_tolerant(
         if drain_serially:
             # The rebuild budget is spent: finish in the parent, where no
             # pool can break.  Quarantined cells join the serial queue.
-            ready.extend((index, 1, 0) for index in gate.release_all())
+            ready.extend((index, 1, 0) for index in (*gate.release_all(), *local))
             for index, attempt, _ in ready:
                 record(
                     index,
@@ -775,8 +703,8 @@ def run_cells(
     forecaster math across them — bit-identical results, no worker pool.
     Ineligible cells (scenarios, Sprout-EWMA, CoDel, ad-hoc endpoints)
     fall back to the per-cell loop.  A ``cell_timeout`` needs preemptable
-    workers, so such batches route to the pooled fault-tolerant engine
-    regardless of ``backend``.
+    workers, so such batches route to the pooled engine regardless of
+    ``backend``.
     """
     if jobs is not None and jobs < 0:
         raise ValueError(f"jobs must be non-negative, got {jobs}")
@@ -836,21 +764,12 @@ def _dispatch(
     record: _RecordFn,
     jobs: Optional[int],
 ) -> None:
-    """Route the pending cells to the serial, fast-pool, or resilient engine."""
-    if jobs == 1:
-        _run_indices_serial(cells, pending, policy, record)
-        return
+    """Route the pending cells to the serial or the pooled engine."""
     shared = active_pool()
     workers = min(jobs or 1, len(pending))
-    if shared is None and workers <= 1:
+    if jobs == 1 or (shared is None and workers <= 1):
         _run_indices_serial(cells, pending, policy, record)
         return
-    # Disk-off fallback only, and only while no worker has forked yet (a
-    # pool's workers spawn lazily, on its first submit).
-    prewarm_models(
-        [cells[index] for index in pending],
-        pool_started=bool(getattr(shared, "_processes", None)),
-    )
     if shared is not None:
         host = _PoolHost(
             shared, getattr(shared, "_max_workers", None) or default_jobs(), True
@@ -858,10 +777,7 @@ def _dispatch(
     else:
         host = _PoolHost(ProcessPoolExecutor(max_workers=workers), workers, False)
     try:
-        if policy.fail_fast and policy.cell_timeout is None:
-            _run_indices_fast_pool(host.pool, cells, pending, record)
-        else:
-            _run_indices_fault_tolerant(host, cells, pending, policy, record)
+        _run_indices_fault_tolerant(host, cells, pending, policy, record)
     finally:
         if not host.shared:
             host.pool.shutdown(wait=True)

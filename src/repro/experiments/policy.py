@@ -1,14 +1,15 @@
 """Fault-tolerance policy layer for the experiment engine.
 
-The fan-out engine (:mod:`repro.experiments.parallel`) was historically
-fail-fast: the first cell exception aborted the whole batch, and a worker
-dying hard (OOM kill, ``os._exit``) tore down the shared process pool with
-it.  For the grids the ROADMAP aims at — hours of emulation across
-thousands of cells — that turns one poison cell into a total loss.  This
-module holds the *policy* vocabulary the engine executes:
+Fail-fast alone — the first cell exception aborts the whole batch, a worker
+dying hard (OOM kill, ``os._exit``) tears down the shared process pool with
+it — turns one poison cell into a total loss on the grids the ROADMAP aims
+at, hours of emulation across thousands of cells.  This module holds the
+*policy* vocabulary that the one pooled engine of
+:mod:`repro.experiments.parallel` executes; the policy selects outcomes
+(and the engine's in-flight window), never a code path:
 
 * :class:`ErrorPolicy` — what to do when a cell fails: ``fail_fast`` (the
-  historical behavior and the default), ``collect`` (record a structured
+  default: propagate and cancel the rest), ``collect`` (record a structured
   :class:`CellError` in the cell's result slot and keep going), or
   ``retry`` (re-run the cell up to ``retries`` times, then record).  The
   policy also carries the per-cell wall-clock timeout, the checkpoint
@@ -85,7 +86,7 @@ class ErrorPolicy:
 
     Attributes:
         on_error: ``"fail_fast"`` propagates the first cell exception and
-            cancels the rest (the historical behavior, and the default);
+            cancels the rest (the default);
             ``"collect"`` records a :class:`CellError` in the failed cell's
             slot and keeps going; ``"retry"`` re-runs a failed cell before
             recording (``collect`` with a retry budget).

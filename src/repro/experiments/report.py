@@ -1,8 +1,7 @@
 """Assemble every experiment into a single textual report.
 
 ``python -m repro report`` (see :mod:`repro.cli`) runs the full reproduction
-and writes a report containing each figure's and table's regenerated data —
-the same content EXPERIMENTS.md summarises against the paper's numbers.
+and writes a report containing each figure's and table's regenerated data.
 """
 
 from __future__ import annotations
@@ -22,12 +21,9 @@ from repro.experiments.registry import INTRO_TABLE_SCHEMES
 from repro.experiments.runner import RunConfig
 from repro.experiments.sweeps import (
     GridSpec,
-    SweepSpec,
     render_grid,
     render_grid_frontiers,
-    render_sweep,
     run_grid,
-    run_sweep,
 )
 from repro.experiments.tables import (
     intro_table,
@@ -52,12 +48,11 @@ class ReportConfig:
     include_sections: Optional[List[str]] = None
     #: worker processes for matrix experiments (None/1 = serial, 0 = per CPU)
     jobs: Optional[int] = None
-    #: optional parameter sweeps appended to the report (docs/sweeps.md)
-    sweeps: Optional[List[SweepSpec]] = None
-    #: optional multi-dimensional grids appended to the report, each
-    #: followed by its per-link frontier section (docs/scenarios.md)
+    #: optional scenario grids appended to the report; a grid of two or
+    #: more axes is followed by its per-link frontier section
+    #: (docs/sweeps.md, docs/scenarios.md)
     grids: Optional[List[GridSpec]] = None
-    #: failure handling for the report's sweep/grid sections
+    #: failure handling for the report's grid sections
     #: (docs/robustness.md); ``None`` keeps the fail-fast default
     error_policy: Optional[ErrorPolicy] = None
     #: analytic screening for the report's grid sections: ``None`` emulates
@@ -77,8 +72,8 @@ def generate_report(config: Optional[ReportConfig] = None, progress=print) -> st
     """Run every experiment and return the combined textual report.
 
     The whole run shares **one** warmed worker pool (when ``jobs`` asks for
-    parallelism): every matrix section and sweep reuses it instead of paying
-    the per-pool rate-model warm-up again.
+    parallelism): every matrix section and grid reuses it instead of paying
+    worker start-up again.
     """
     cfg = config if config is not None else ReportConfig()
     with shared_pool(cfg.jobs):
@@ -125,16 +120,6 @@ def _generate_report_sections(cfg: ReportConfig, progress) -> str:
     if cfg.wants("tunnel"):
         note("running the Section 5.7 competing-traffic comparison...")
         sections.append(render_competing(tunnel_table(duration=cfg.tunnel_duration)))
-    if cfg.sweeps and cfg.wants("sweeps"):
-        for spec in cfg.sweeps:
-            note(f"running the {spec.parameter} sweep ({len(spec.values)} values)...")
-            sections.append(
-                render_sweep(
-                    run_sweep(
-                        spec, config=run_cfg, jobs=cfg.jobs, policy=cfg.error_policy
-                    )
-                )
-            )
     if cfg.grids and cfg.wants("grids"):
         for grid_spec in cfg.grids:
             axes = " × ".join(grid_spec.parameters)
@@ -150,6 +135,7 @@ def _generate_report_sections(cfg: ReportConfig, progress) -> str:
                 screen=cfg.screen,
             )
             sections.append(render_grid(data))
-            sections.append(render_grid_frontiers(data))
+            if len(grid_spec.parameters) > 1:
+                sections.append(render_grid_frontiers(data))
 
     return "\n\n" + "\n\n".join(sections) + "\n"

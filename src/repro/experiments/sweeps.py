@@ -12,9 +12,7 @@ deduplicating trace generation across cells and every distinct swept
 :class:`RateModelParams` the model-artifact cache lacks built by the pool
 itself, one task per model ahead of the cells it gates, so a wide
 sigma/tick grid builds its models side by side, each once ever instead of
-once per worker.
-:class:`SweepSpec` survives as the one-axis special case and is
-implemented on top of the grid engine.
+once per worker.  A classic single-parameter sweep is a one-axis grid.
 
 Sweepable axes (full semantics in ``docs/scenarios.md``):
 
@@ -83,7 +81,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 from repro.core.connection import SproutConfig
 from repro.core.rate_model import RateModelParams
 from repro.experiments.competing import competing_scheme, competing_scheme_parts
-from repro.experiments.parallel import Cell, CellOutcome, run_cells, shared_pool
+from repro.experiments.parallel import Cell, CellOutcome, run_cells
 from repro.experiments.policy import CellError, ErrorPolicy, is_cell_error
 from repro.experiments.registry import (
     SchemeSpec,
@@ -632,143 +630,6 @@ def run_grid(
     return GridData(spec=spec, points=grid_points(spec, results))
 
 
-# ------------------------------------------------------------------ sweeps
-# The historical one-axis API, now a thin wrapper over the grid engine.
-
-
-@dataclass(frozen=True)
-class SweepSpec:
-    """One sweep: a single parameter, its values, and the base matrix.
-
-    A sweep is exactly a one-axis :class:`GridSpec` (see :meth:`to_grid`);
-    it survives as the convenient spelling for the common case.
-    """
-
-    parameter: str
-    values: Tuple[float, ...]
-    schemes: Tuple[str, ...] = ("Sprout",)
-    links: Tuple[str, ...] = ()
-    #: failure handling for the sweep (docs/robustness.md); like
-    #: :attr:`GridSpec.policy`, excluded from equality
-    policy: Optional[ErrorPolicy] = field(default=None, compare=False)
-
-    def __post_init__(self) -> None:
-        get_sweep_parameter(self.parameter)
-        object.__setattr__(self, "values", tuple(self.values))
-        object.__setattr__(self, "schemes", tuple(self.schemes))
-        object.__setattr__(self, "links", tuple(self.links))
-        if not self.values:
-            raise ValueError("a sweep needs at least one value")
-        if not self.schemes:
-            raise ValueError("a sweep needs at least one scheme")
-        if not self.links:
-            object.__setattr__(self, "links", tuple(link_names()))
-
-    @property
-    def cells_per_value(self) -> int:
-        return len(self.schemes) * len(self.links)
-
-    def to_grid(self) -> GridSpec:
-        """This sweep as the equivalent one-axis grid."""
-        return GridSpec(
-            parameters=(self.parameter,),
-            values=(self.values,),
-            schemes=self.schemes,
-            links=self.links,
-            policy=self.policy,
-        )
-
-
-@dataclass
-class SweepPoint:
-    """All matrix results measured at one value of the swept parameter."""
-
-    parameter: str
-    value: float
-    results: List[CellOutcome]
-
-    @property
-    def ok_results(self) -> List[SchemeResult]:
-        """The point's successful results, in cell order."""
-        return [row for row in self.results if not is_cell_error(row)]
-
-    @property
-    def errors(self) -> List[CellError]:
-        """The point's failed cells, in cell order."""
-        return [row for row in self.results if is_cell_error(row)]
-
-
-@dataclass
-class SweepData:
-    """A finished sweep: one :class:`SweepPoint` per requested value."""
-
-    spec: SweepSpec
-    points: List[SweepPoint]
-
-    def for_value(self, value: float) -> SweepPoint:
-        for point in self.points:
-            if point.value == value:
-                return point
-        raise KeyError(f"no sweep point for value {value!r}")
-
-    def to_grid_data(self) -> GridData:
-        """This sweep's results as the equivalent one-axis grid data."""
-        return GridData(
-            spec=self.spec.to_grid(),
-            points=[
-                GridPoint(
-                    parameters=(self.spec.parameter,),
-                    coordinates=(point.value,),
-                    results=point.results,
-                )
-                for point in self.points
-            ],
-        )
-
-
-def expand_sweep(spec: SweepSpec, config: Optional[RunConfig] = None) -> List[Cell]:
-    """Flatten a sweep spec into explicit matrix cells, value-major."""
-    return expand_grid(spec.to_grid(), config)
-
-
-def run_sweep(
-    spec: SweepSpec,
-    config: Optional[RunConfig] = None,
-    progress: Optional[ProgressCallback] = None,
-    jobs: Optional[int] = None,
-    policy: Optional[ErrorPolicy] = None,
-    backend: str = "processes",
-) -> SweepData:
-    """Run one parameter sweep (a one-axis grid) through the cell runner."""
-    grid = run_grid(
-        spec.to_grid(),
-        config=config,
-        progress=progress,
-        jobs=jobs,
-        policy=policy,
-        backend=backend,
-    )
-    points = [
-        SweepPoint(parameter=spec.parameter, value=point.coordinates[0], results=point.results)
-        for point in grid.points
-    ]
-    return SweepData(spec=spec, points=points)
-
-
-def run_sweep_suite(
-    specs: Sequence[SweepSpec],
-    config: Optional[RunConfig] = None,
-    progress: Optional[ProgressCallback] = None,
-    jobs: Optional[int] = None,
-) -> List[SweepData]:
-    """Run several sweeps over **one** shared worker pool."""
-    with shared_pool(jobs):
-        return [
-            run_sweep(spec, config=config, progress=progress, jobs=jobs)
-            for spec in specs
-        ]
-
-
 # --------------------------------------------------------------- rendering
 
 _RESULT_HEADER = (
@@ -821,16 +682,6 @@ def _screened_footer(points: Sequence) -> List[str]:
         "(predicted, not emulated; docs/analytic.md)",
         "",
     ]
-
-
-def render_sweep(data: SweepData) -> str:
-    """Plain-text rendering: one block per swept value.
-
-    Failed cells (``collect``/``retry`` error policies) render as
-    ``FAILED`` lines in place, and a trailing "N cells failed" section is
-    appended; all-green output is byte-identical to the fail-fast era.
-    """
-    return render_grid(data.to_grid_data())
 
 
 def render_grid(data: GridData) -> str:

@@ -25,7 +25,6 @@ from repro.experiments.exports import (
     FLOW_COLUMNS,
     METRIC_COLUMNS,
     SCREEN_COLUMNS,
-    as_grid_data,
     csv_columns,
     export_csv,
     export_json,
@@ -42,9 +41,7 @@ from repro.experiments.sweeps import (
     GridData,
     GridPoint,
     GridSpec,
-    SweepSpec,
     run_grid,
-    run_sweep,
 )
 from repro.metrics.flows import FlowMetrics
 from repro.metrics.summary import SchemeResult
@@ -288,18 +285,14 @@ def test_v1_v2_v3_v4_goldens_carry_identical_metrics():
 
 
 def test_sweep_data_exports_as_one_axis_grid():
-    spec = SweepSpec(
-        parameter="loss", values=(0.0,), schemes=("Vegas",), links=("AT&T LTE uplink",)
-    )
-    data = run_sweep(spec, config=GOLDEN_CONFIG)
-    grid = as_grid_data(data)
-    assert grid.spec.parameters == ("loss",)
+    """A single-parameter sweep exports with its one axis column."""
+    spec = GridSpec(("loss",), ((0.0,),), ("Vegas",), ("AT&T LTE uplink",))
+    data = run_grid(spec, config=GOLDEN_CONFIG)
     rows = parse_csv(export_csv(data))
     assert len(rows) == 1
     assert rows[0]["loss"] == 0.0
     assert rows[0]["scheme"] == "Vegas"
-    # the sweep and its grid form serialise identically
-    assert export_json(data) == export_json(grid)
+    assert grid_data_from_json(export_json(data)).spec == spec
 
 
 # ------------------------------------------------------- non-finite floats

@@ -135,6 +135,7 @@ import multiprocessing
 import os
 import threading
 from collections import Counter
+from concurrent.futures import Future
 from contextlib import nullcontext
 
 from repro.core.connection import SproutConfig
@@ -218,7 +219,7 @@ def serial_grid_digest(tmp_path_factory):
         return _digest(run_grid(MODEL_GRID, config=GRID_CONFIG, jobs=1))
 
 
-@pytest.mark.parametrize("policy", [None, COLLECT], ids=["fast", "collect"])
+@pytest.mark.parametrize("policy", [None, COLLECT], ids=["fail_fast", "collect"])
 @pytest.mark.parametrize("pool", ["own", "shared"])
 def test_cold_models_build_once_each_across_the_process_tree(
     cold_models, build_log, serial_grid_digest, pool, policy
@@ -256,18 +257,26 @@ def test_failed_build_surfaces_as_its_own_cells_errors(cold_models, build_log):
                 assert isinstance(outcome, SchemeResult)
 
 
-def test_disk_tier_off_falls_back_to_parent_builds(
+def test_disk_tier_off_builds_on_demand_with_no_build_task(
     cold_models, build_log, serial_grid_digest, monkeypatch
 ):
+    """No disk tier to carry an artifact between processes: the gate stands
+    down and every process builds what its own cells need, as with the
+    cache disabled."""
+    from repro.experiments.parallel import _ModelGate
+
     monkeypatch.setenv("REPRO_MODEL_CACHE_DISK", "0")
     cache = model_cache()
     monkeypatch.setattr(cache, "use_disk", False)
+    queued = []
+    monkeypatch.setattr(_ModelGate, "submit_build", lambda *args: queued.append(args))
+    parent_lookups = cache.stats.as_dict()
     data = run_grid(MODEL_GRID, config=GRID_CONFIG, jobs=2)
     assert _digest(data) == serial_grid_digest
     assert os.listdir(cold_models) == []
-    # The parent built each model (its memory tier is what the workers
-    # fork with); no build task was ever queued.
-    assert all(cache.contains(key) for key in _grid_keys())
+    assert queued == []
+    # The workers built on demand; the parent neither built nor looked up.
+    assert cache.stats.as_dict() == parent_lookups
     assert set(build_log.keys()) == set(_grid_keys())
 
 
@@ -280,7 +289,8 @@ def test_error_mid_batch_cancels_outstanding_builds(cold_models, build_log, erro
 
     sigmas = (100.0, 120.0, 140.0, 160.0, 180.0, 240.0)
     wide = GridSpec(("sigma",), (sigmas,), (SMALL_SPROUT,), tuple(LINKS_2[:1]))
-    # An unpicklable cell runs in the parent right after the submissions.
+    # An unpicklable cell runs in the parent right after the first window
+    # (four tasks on two workers, all of them builds) is submitted.
     cells = expand_grid(wide, GRID_CONFIG) + [
         (SchemeSpec(name="exploding", factory=explode), LINKS_2[0], GRID_CONFIG)
     ]
@@ -288,7 +298,7 @@ def test_error_mid_batch_cancels_outstanding_builds(cold_models, build_log, erro
     with pytest.raises(error, match="mid-batch"):
         run_cells(cells, jobs=2)
     # Two builds were running and one more was already handed to a worker
-    # queue; the other three were cancelled and never ran.
+    # queue; the fourth was cancelled, the last two never submitted.
     assert 1 <= len(build_log.keys()) <= 3
     assert multiprocessing.active_children() == []
     assert set(threading.enumerate()) <= threads_before
@@ -342,8 +352,6 @@ def test_build_that_kills_its_worker_loses_no_cell(
 
 def test_model_gate_bookkeeping(cold_models):
     """White box: what is held, what a lost pool puts back, what giving up frees."""
-    from concurrent.futures import Future
-
     from repro.experiments.parallel import _ModelGate
 
     class ParkedPool:
@@ -375,3 +383,100 @@ def test_model_gate_bookkeeping(cold_models):
         assert _ModelGate(list(enumerate(cells))).open == list(range(7))
     finally:
         model_cache().use_disk = True
+
+
+# ------------------------------------------------- one engine, derived window
+#
+# Counts, not clocks: the scheduler runs against a stub executor that
+# completes one task, inline, each time the engine waits.
+
+
+class RecordingPool:
+    """Counts what the engine keeps in flight; runs tasks when it waits."""
+
+    def __init__(self):
+        self.in_flight = []
+        self.submitted = 0
+        self.peak = 0
+
+    def submit(self, fn, *args):
+        future = Future()
+        self.in_flight.append((future, fn, args))
+        self.submitted += 1
+        self.peak = max(self.peak, len(self.in_flight))
+        return future
+
+    def wait(self, futures, timeout=None, return_when=None):
+        future, fn, args = self.in_flight.pop(0)
+        try:
+            future.set_result(fn(*args))
+        except Exception as error:
+            future.set_exception(error)
+        return {future}, set(futures) - {future}
+
+
+@pytest.fixture
+def engine(monkeypatch):
+    """``run(cells, policy)`` on a two-worker stub pool -> ``(pool, calls)``."""
+    from repro.experiments import parallel
+
+    def run(cells, policy):
+        pool = RecordingPool()
+        calls = []  # (cell index, tasks submitted so far) at each cell start
+
+        def fake_cell(scheme, link, config, attempt=1, index=None):
+            calls.append((index, pool.submitted))
+            return SchemeResult(
+                scheme=str(index),
+                link=link,
+                throughput_bps=0.0,
+                delay_95_s=0.0,
+                self_inflicted_delay_s=0.0,
+                utilization=0.0,
+            )
+
+        monkeypatch.setattr(parallel, "_run_cell", fake_cell)
+        monkeypatch.setattr(parallel, "wait", pool.wait)
+        outcomes = {}
+        parallel._run_indices_fault_tolerant(
+            parallel._PoolHost(pool, workers=2, shared=True),
+            cells,
+            range(len(cells)),
+            policy,
+            outcomes.__setitem__,
+        )
+        assert sorted(outcomes) == list(range(len(cells)))
+        return pool, calls
+
+    return run
+
+
+@pytest.mark.parametrize(
+    "policy, window",
+    [
+        (ErrorPolicy(), 4),
+        (ErrorPolicy(cell_timeout=60.0), 2),
+        (COLLECT, 2),
+        (ErrorPolicy(on_error="retry"), 2),
+        (ErrorPolicy(on_error="collect", cell_timeout=60.0), 2),
+    ],
+    ids=["fail_fast", "fail_fast-timeout", "collect", "retry", "collect-timeout"],
+)
+def test_in_flight_window_is_derived_from_the_policy(engine, policy, window):
+    """One task per worker wherever a deadline or a suspect list depends on
+    it; a second queued behind each worker for plain fail-fast."""
+    pool, _ = engine([("Vegas", LINKS_2[0], None)] * 12, policy)
+    assert pool.submitted == 12
+    assert pool.peak == window
+
+
+@pytest.mark.parametrize("policy", [ErrorPolicy(), COLLECT], ids=["fail_fast", "collect"])
+def test_unpicklable_cells_run_once_the_first_window_is_submitted(engine, policy):
+    ad_hoc = SchemeSpec(name="ad hoc", factory=lambda: None)
+    cells = [(ad_hoc, LINKS_2[0], None)] + [("Vegas", LINKS_2[0], None)] * 6
+    pool, calls = engine(cells, policy)
+    assert pool.submitted == 6  # the unpicklable cell never went to the pool
+    # It ran first of all (nothing completes before the engine waits), with
+    # a full window of pool work already out to overlap it.
+    assert calls[0] == (0, pool.peak)
+    assert pool.peak >= 2

@@ -18,17 +18,12 @@ from repro.experiments.runner import RunConfig, run_scheme_on_link
 from repro.experiments.sweeps import (
     SWEEP_PARAMETERS,
     GridSpec,
-    SweepSpec,
     expand_grid,
-    expand_sweep,
     get_sweep_parameter,
     pareto_frontier,
     render_grid,
     render_grid_frontiers,
-    render_sweep,
     run_grid,
-    run_sweep,
-    run_sweep_suite,
     sweep_parameter_names,
 )
 from repro.traces.cache import global_cache
@@ -36,6 +31,11 @@ from repro.traces.networks import get_link, link_names
 
 TINY = RunConfig(duration=8.0, warmup=2.0)
 LINK = "AT&T LTE uplink"
+
+
+def sweep(parameter, values, schemes=("Sprout",), links=(LINK,)) -> GridSpec:
+    """A classic single-parameter sweep: the one-axis grid."""
+    return GridSpec((parameter,), (values,), schemes, links)
 
 
 # ----------------------------------------------------------------- expansion
@@ -66,23 +66,14 @@ def test_unknown_parameter_is_rejected_with_valid_names():
     with pytest.raises(KeyError, match="loss"):
         get_sweep_parameter("bandwidth")
     with pytest.raises(KeyError):
-        SweepSpec(parameter="bandwidth", values=(1.0,))
+        sweep("bandwidth", (1.0,))
 
 
-def test_spec_defaults_links_to_all_eight():
-    spec = SweepSpec(parameter="loss", values=(0.0, 0.01))
-    assert list(spec.links) == link_names()
-    assert spec.cells_per_value == len(link_names())
-
-
-def test_expand_sweep_is_value_major_scheme_then_link():
-    spec = SweepSpec(
-        parameter="loss",
-        values=(0.0, 0.1),
-        schemes=("Vegas", "Skype"),
-        links=(LINK, "Verizon LTE uplink"),
+def test_one_axis_expansion_is_value_major_scheme_then_link():
+    spec = sweep(
+        "loss", (0.0, 0.1), ("Vegas", "Skype"), (LINK, "Verizon LTE uplink")
     )
-    cells = expand_sweep(spec, TINY)
+    cells = expand_grid(spec, TINY)
     assert len(cells) == 8
     assert [c[2].loss_rate for c in cells] == [0.0] * 4 + [0.1] * 4
     assert [c[0] for c in cells[:4]] == ["Vegas", "Vegas", "Skype", "Skype"]
@@ -91,15 +82,13 @@ def test_expand_sweep_is_value_major_scheme_then_link():
 
 
 def test_loss_values_validated():
-    spec = SweepSpec(parameter="loss", values=(1.5,), links=(LINK,))
     with pytest.raises(ValueError, match="loss rate"):
-        expand_sweep(spec, TINY)
+        expand_grid(sweep("loss", (1.5,)), TINY)
 
 
 def test_sigma_and_tick_variants_are_picklable_sprout_schemes():
     for parameter, value in (("sigma", 120.0), ("tick", 0.04)):
-        spec = SweepSpec(parameter=parameter, values=(value,), links=(LINK,))
-        ((scheme, _, _),) = expand_sweep(spec, TINY)
+        ((scheme, _, _),) = expand_grid(sweep(parameter, (value,)), TINY)
         assert scheme.category == "sprout"
         assert str(value).rstrip("0").rstrip(".") in scheme.name or f"{value:g}" in scheme.name
         pickle.loads(pickle.dumps(scheme))  # must ship to worker processes
@@ -133,21 +122,16 @@ def test_sigma_sweep_rejects_unrecoverable_sprout_specs():
 
 
 def test_sigma_sweep_rejects_non_sprout_schemes():
-    spec = SweepSpec(parameter="sigma", values=(100.0,), schemes=("Vegas",), links=(LINK,))
     with pytest.raises(ValueError, match="does not apply"):
-        expand_sweep(spec, TINY)
-    ewma = SweepSpec(
-        parameter="tick", values=(0.04,), schemes=("Sprout-EWMA",), links=(LINK,)
-    )
+        expand_grid(sweep("sigma", (100.0,), ("Vegas",)), TINY)
     with pytest.raises(ValueError, match="does not apply"):
-        expand_sweep(ewma, TINY)
+        expand_grid(sweep("tick", (0.04,), ("Sprout-EWMA",)), TINY)
 
 
 def test_outage_and_scale_modify_a_copy_of_the_link():
     pristine = get_link(LINK)
     for parameter, value in (("outage", 3.0), ("scale", 0.5)):
-        spec = SweepSpec(parameter=parameter, values=(value,), links=(LINK,))
-        ((_, link, _),) = expand_sweep(spec, TINY)
+        ((_, link, _),) = expand_grid(sweep(parameter, (value,)), TINY)
         assert link.name == pristine.name  # same identity for reporting
         assert link.config != pristine.config
     assert get_link(LINK).config == pristine.config  # registry untouched
@@ -286,8 +270,7 @@ def test_modified_links_get_their_own_traces():
     from repro.traces.networks import link_trace
 
     pristine = get_link(LINK)
-    spec = SweepSpec(parameter="scale", values=(0.25,), links=(LINK,))
-    ((_, scaled, _),) = expand_sweep(spec, TINY)
+    ((_, scaled, _),) = expand_grid(sweep("scale", (0.25,)), TINY)
     base_trace = link_trace(pristine, duration=5.0)
     scaled_trace = link_trace(scaled, duration=5.0)
     assert base_trace != scaled_trace
@@ -299,13 +282,8 @@ def test_modified_links_get_their_own_traces():
 
 def test_sweep_results_bit_identical_to_uncached_serial_cells(monkeypatch):
     """Acceptance bar: fast path == cell-by-cell uncached serial run."""
-    spec = SweepSpec(
-        parameter="loss",
-        values=(0.0, 0.02, 0.1),
-        schemes=("Vegas", "Skype"),
-        links=(LINK,),
-    )
-    fast = run_sweep(spec, config=TINY, jobs=2)
+    spec = sweep("loss", (0.0, 0.02, 0.1), ("Vegas", "Skype"))
+    fast = run_grid(spec, config=TINY, jobs=2)
 
     monkeypatch.setattr(global_cache(), "enabled", False)
     for point in fast.points:
@@ -314,7 +292,9 @@ def test_sweep_results_bit_identical_to_uncached_serial_cells(monkeypatch):
                 row.scheme,
                 row.link,
                 RunConfig(
-                    duration=TINY.duration, warmup=TINY.warmup, loss_rate=point.value
+                    duration=TINY.duration,
+                    warmup=TINY.warmup,
+                    loss_rate=point.coordinate("loss"),
                 ),
             )
             assert row.as_dict() == reference.as_dict()
@@ -357,57 +337,22 @@ def test_grid_cells_report_their_model_params_for_prewarming():
     assert required_model_params(expand_grid(direct, TINY)) == []
 
 
-def test_prewarm_models_is_only_the_disk_off_fallback(tmp_path):
-    """Parent-side builds happen only where a worker's could not be shared."""
-    from repro.core.connection import SproutConfig
-    from repro.core.rate_model import RateModelParams, model_cache_directory, model_key
-    from repro.experiments.parallel import prewarm_models
-    from repro.experiments.registry import sprout_variant
-
-    small = RateModelParams(num_bins=16, forecast_ticks=3)  # builds in ~50 ms
-    cells = [(sprout_variant("Sprout-16", SproutConfig(model_params=small)), LINK, TINY)]
-    with model_cache_directory(str(tmp_path)) as cache:
-        saved = (cache.enabled, cache.use_disk)
-        try:
-            # Disk tier on: the pool builds missing models as gated tasks.
-            assert prewarm_models(cells) == []
-            # Cache disabled: nothing built here could be kept, let alone shared.
-            cache.enabled = False
-            assert prewarm_models(cells) == []
-            cache.enabled, cache.use_disk = True, False
-            # Memory-only, workers already forked: no fork left to inherit by.
-            assert prewarm_models(cells, pool_started=True) == []
-            assert not cache.contains(model_key(small))
-            # Memory-only, before the fork: built here, for the workers to inherit.
-            assert prewarm_models(cells) == [small]
-            assert cache.contains(model_key(small))
-        finally:
-            cache.enabled, cache.use_disk = saved
-    assert list(tmp_path.iterdir()) == []
-
-
-def test_run_sweep_groups_points_by_value():
-    spec = SweepSpec(
-        parameter="scale", values=(1.0, 0.5), schemes=("Vegas",), links=(LINK,)
-    )
-    data = run_sweep(spec, config=TINY)
-    assert [p.value for p in data.points] == [1.0, 0.5]
+def test_one_axis_grid_groups_points_by_value():
+    data = run_grid(sweep("scale", (1.0, 0.5), ("Vegas",)), config=TINY)
+    assert [p.coordinates for p in data.points] == [(1.0,), (0.5,)]
     assert all(len(p.results) == 1 for p in data.points)
-    assert data.for_value(0.5) is data.points[1]
+    assert data.for_coordinates((0.5,)) is data.points[1]
     with pytest.raises(KeyError):
-        data.for_value(2.0)
+        data.for_coordinates((2.0,))
     # scale=1.0 is the calibrated link: identical to a plain run.
     plain = run_scheme_on_link("Vegas", LINK, TINY)
-    assert data.for_value(1.0).results[0].as_dict() == plain.as_dict()
+    assert data.for_coordinates((1.0,)).results[0].as_dict() == plain.as_dict()
 
 
 def test_scale_one_equals_identity_and_halving_reduces_throughput():
-    spec = SweepSpec(
-        parameter="scale", values=(1.0, 0.5), schemes=("Vegas",), links=(LINK,)
-    )
-    data = run_sweep(spec, config=TINY)
-    full = data.for_value(1.0).results[0]
-    half = data.for_value(0.5).results[0]
+    data = run_grid(sweep("scale", (1.0, 0.5), ("Vegas",)), config=TINY)
+    full = data.for_coordinates((1.0,)).results[0]
+    half = data.for_coordinates((0.5,)).results[0]
     assert half.throughput_bps < full.throughput_bps
 
 
@@ -417,11 +362,9 @@ def test_suite_runs_inside_one_shared_pool():
     def spy(_result) -> None:
         observed_pools.append(active_pool())
 
-    specs = [
-        SweepSpec(parameter="loss", values=(0.0,), schemes=("Vegas",), links=(LINK,)),
-        SweepSpec(parameter="scale", values=(1.0,), schemes=("Vegas",), links=(LINK,)),
-    ]
-    suite = run_sweep_suite(specs, config=TINY, progress=spy, jobs=2)
+    specs = [sweep("loss", (0.0,), ("Vegas",)), sweep("scale", (1.0,), ("Vegas",))]
+    with shared_pool(2):
+        suite = [run_grid(spec, config=TINY, progress=spy, jobs=2) for spec in specs]
     assert len(suite) == 2
     assert len(observed_pools) == 2
     assert observed_pools[0] is not None
@@ -430,12 +373,11 @@ def test_suite_runs_inside_one_shared_pool():
 
 
 def test_suite_serial_when_jobs_none():
-    specs = [
-        SweepSpec(parameter="loss", values=(0.0,), schemes=("Vegas",), links=(LINK,))
-    ]
-    suite = run_sweep_suite(specs, config=TINY)
+    with shared_pool(None):
+        assert active_pool() is None
+        data = run_grid(sweep("loss", (0.0,), ("Vegas",)), config=TINY)
     plain = run_scheme_on_link("Vegas", LINK, TINY)
-    assert suite[0].points[0].results[0].as_dict() == plain.as_dict()
+    assert data.points[0].results[0].as_dict() == plain.as_dict()
 
 
 @pytest.mark.perf
@@ -443,8 +385,9 @@ def test_sigma_and_tick_sweeps_run_end_to_end():
     """The model-rebuilding sweeps actually emulate (Monte-Carlo warm-up
     per non-default parameter set makes this too slow for the smoke job)."""
     for parameter, value in (("sigma", 150.0), ("tick", 0.04)):
-        spec = SweepSpec(parameter=parameter, values=(value,), links=(LINK,))
-        data = run_sweep(spec, config=RunConfig(duration=6.0, warmup=1.0))
+        data = run_grid(
+            sweep(parameter, (value,)), config=RunConfig(duration=6.0, warmup=1.0)
+        )
         ((point),) = data.points
         (row,) = point.results
         assert row.scheme.startswith("Sprout [")
@@ -455,11 +398,8 @@ def test_sigma_and_tick_sweeps_run_end_to_end():
 # ----------------------------------------------------------------- rendering
 
 
-def test_render_sweep_lists_every_value_and_scheme():
-    spec = SweepSpec(
-        parameter="loss", values=(0.0, 0.05), schemes=("Vegas",), links=(LINK,)
-    )
-    text = render_sweep(run_sweep(spec, config=TINY))
+def test_one_axis_render_lists_every_value_and_scheme():
+    text = render_grid(run_grid(sweep("loss", (0.0, 0.05), ("Vegas",)), config=TINY))
     assert "Sweep — loss" in text
     assert "loss = 0" in text
     assert "loss = 0.05" in text
@@ -470,19 +410,22 @@ def test_render_sweep_lists_every_value_and_scheme():
 def test_report_includes_sweep_sections():
     from repro.experiments.report import ReportConfig, generate_report
 
-    spec = SweepSpec(parameter="loss", values=(0.0,), schemes=("Vegas",), links=(LINK,))
     cfg = ReportConfig(
-        duration=6.0, warmup=1.0, include_sections=["sweeps"], sweeps=[spec]
+        duration=6.0,
+        warmup=1.0,
+        include_sections=["grids"],
+        grids=[sweep("loss", (0.0,), ("Vegas",))],
     )
     report = generate_report(cfg, progress=None)
     assert "Sweep — loss" in report
     assert "Vegas" in report
+    # A one-axis grid is a sweep section: no frontier follows it.
+    assert "Frontier" not in report
 
 
 def test_sweep_spec_registry_wiring():
     """Sprout variants route through the scheme registry's builder."""
-    spec = SweepSpec(parameter="sigma", values=(200.0,), links=(LINK,))
-    ((scheme, _, _),) = expand_sweep(spec, TINY)
+    ((scheme, _, _),) = expand_grid(sweep("sigma", (200.0,)), TINY)
     assert get_scheme("Sprout").category == scheme.category == "sprout"
     assert SWEEP_PARAMETERS["sigma"].expand is not None
 
@@ -587,24 +530,6 @@ def test_grid_data_lookup_and_slicing():
     assert all(p.coordinate("scale") == 0.5 for p in half)
     with pytest.raises(KeyError):
         data.slice("outage", 1.0)
-
-
-def test_one_axis_grid_equals_sweep():
-    """SweepSpec is exactly the one-axis GridSpec."""
-    sweep_spec = SweepSpec(
-        parameter="loss", values=(0.0, 0.05), schemes=("Vegas",), links=(LINK,)
-    )
-    sweep = run_sweep(sweep_spec, config=TINY)
-    grid = run_grid(sweep_spec.to_grid(), config=TINY)
-    assert [p.value for p in sweep.points] == [p.coordinates[0] for p in grid.points]
-    assert [r.as_dict() for p in sweep.points for r in p.results] == [
-        r.as_dict() for p in grid.points for r in p.results
-    ]
-    regridded = sweep.to_grid_data()
-    assert regridded.spec == sweep_spec.to_grid()
-    assert [p.coordinates for p in regridded.points] == [
-        p.coordinates for p in grid.points
-    ]
 
 
 # --------------------------------------------------------- scenario axes
