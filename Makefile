@@ -4,7 +4,7 @@
 PYTHON ?= python
 export PYTHONPATH := src:$(PYTHONPATH)
 
-.PHONY: test test-fast smoke test-fault test-oracle test-live test-chaos cov bench bench-batched bench-analytic bench-e2e bench-pair docs-check loc
+.PHONY: test test-fast smoke test-fault test-oracle test-live test-chaos cov bench bench-batched bench-analytic bench-e2e bench-workload bench-pair docs-check loc
 
 ## full suite, including perf benchmarks (the tier-1 gate)
 test:
@@ -57,6 +57,12 @@ bench-analytic:
 OUT ?= /tmp/repro-bench.json
 bench-e2e:
 	python3 -m bench --repeats 1 --out $(OUT)
+
+## one run of one workload, as BENCHMARK.json runs it: make bench-workload W=report SEED=7
+W ?= report
+SEED ?= 7
+bench-workload:
+	python3 -m bench --workload $(W) --seed $(SEED) --seconds 10 --trace 0
 
 ## two bench-e2e documents against the bounds: make bench-pair A=parent.json B=change.json
 bench-pair:

@@ -38,6 +38,7 @@ REQUIRED_MODULES = (
     os.path.join("experiments", "policy.py"),
     os.path.join("experiments", "batched.py"),
     os.path.join("experiments", "analytic.py"),
+    os.path.join("experiments", "report.py"),
     os.path.join("testing", "faults.py"),
     os.path.join("transport", "wire.py"),
     os.path.join("transport", "reliable.py"),

@@ -119,8 +119,8 @@ def _add_run_options(parser: argparse.ArgumentParser) -> None:
         "-j",
         type=int,
         default=os.cpu_count(),
-        help="worker processes for matrix experiments (1 = serial; "
-        "results are identical regardless)",
+        help="worker processes for every command that runs more than one "
+        "emulation (1 = serial; results are identical regardless)",
     )
 
 
@@ -145,7 +145,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_figure(args: argparse.Namespace) -> int:
     config = _run_config(args)
     if args.number == 1:
-        print(render_figure1(run_figure1(duration=args.duration)))
+        print(render_figure1(run_figure1(duration=args.duration, jobs=args.jobs)))
     elif args.number == 2:
         print(render_figure2(run_figure2(duration=max(args.duration, 120.0))))
     elif args.number == 7:
@@ -153,7 +153,7 @@ def _cmd_figure(args: argparse.Namespace) -> int:
     elif args.number == 8:
         print(render_figure8(run_figure8(config=config, jobs=args.jobs)))
     elif args.number == 9:
-        print(render_figure9(run_figure9(config=config)))
+        print(render_figure9(run_figure9(config=config, jobs=args.jobs)))
     else:
         print(f"no such figure: {args.number} (valid: 1, 2, 7, 8, 9)", file=sys.stderr)
         return 2
@@ -167,9 +167,13 @@ def _cmd_table(args: argparse.Namespace) -> int:
     elif args.name == "ewma":
         print(render_ewma_table(ewma_table(config=config, jobs=args.jobs)))
     elif args.name == "loss":
-        print(render_loss_table(loss_table(config=config)))
+        print(render_loss_table(loss_table(config=config, jobs=args.jobs)))
     elif args.name == "tunnel":
-        print(render_competing(tunnel_table(duration=args.duration, warmup=args.warmup)))
+        print(
+            render_competing(
+                tunnel_table(duration=args.duration, warmup=args.warmup, jobs=args.jobs)
+            )
+        )
     else:
         print(f"no such table: {args.name}", file=sys.stderr)
         return 2
@@ -177,7 +181,11 @@ def _cmd_table(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    config = ReportConfig(duration=args.duration, warmup=args.warmup, jobs=args.jobs)
+    try:
+        config = ReportConfig(duration=args.duration, warmup=args.warmup, jobs=args.jobs)
+    except ValueError as error:
+        print(f"report error: {error}", file=sys.stderr)
+        return 2
     report = generate_report(config)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as f:

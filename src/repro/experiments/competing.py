@@ -30,6 +30,7 @@ from repro.baselines.videoconference import (
 )
 from repro.cellsim.cellsim import build_cellsim, traces_for_link
 from repro.core.connection import SproutConfig
+from repro.experiments.parallel import Task, run_tasks
 from repro.metrics.flows import FlowMetrics, flow_metrics_from_arrivals
 from repro.simulation.endpoints import HostContext, Protocol
 from repro.simulation.mux import MultiplexProtocol
@@ -223,15 +224,30 @@ def run_tunnelled(
     )
 
 
+def competing_tasks(
+    link_name: str = "Verizon LTE downlink",
+    duration: float = 60.0,
+    warmup: float = 10.0,
+    queue: Optional[QueueConfig] = None,
+) -> List[Task]:
+    """The comparison's two runs as pool tasks: direct, then tunnelled."""
+    return [
+        partial(run_direct, link_name, duration, warmup, queue=queue),
+        partial(run_tunnelled, link_name, duration, warmup, queue=queue),
+    ]
+
+
 def run_competing_comparison(
     link_name: str = "Verizon LTE downlink",
     duration: float = 60.0,
     warmup: float = 10.0,
     queue: Optional[QueueConfig] = None,
+    jobs: Optional[int] = None,
 ) -> CompetingComparison:
     """The full Section 5.7 comparison: direct vs. through SproutTunnel."""
-    direct = run_direct(link_name, duration, warmup, queue=queue)
-    tunnelled = run_tunnelled(link_name, duration, warmup, queue=queue)
+    direct, tunnelled = run_tasks(
+        competing_tasks(link_name, duration, warmup, queue), jobs=jobs
+    )
     return CompetingComparison(direct=direct, tunnelled=tunnelled)
 
 

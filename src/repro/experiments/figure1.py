@@ -10,15 +10,17 @@ keeps delay near its 100 ms target.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.cellsim.cellsim import cellsim_for_link
+from repro.experiments.parallel import Task, run_tasks
 from repro.experiments.registry import get_scheme
 from repro.experiments.runner import RunConfig
 from repro.traces.analysis import capacity_timeseries
-from repro.traces.networks import get_link
+from repro.traces.networks import get_link, link_trace
 
 
 @dataclass
@@ -90,30 +92,55 @@ def _scheme_timeseries(
     )
 
 
-def run_figure1(
-    link_name: str = "Verizon LTE downlink",
-    schemes: Sequence[str] = ("Skype", "Sprout"),
+#: the link and the two schemes of the paper's opening figure
+FIGURE1_LINK = "Verizon LTE downlink"
+FIGURE1_SCHEMES = ("Skype", "Sprout")
+
+
+def figure1_tasks(
+    link_name: str = FIGURE1_LINK,
+    schemes: Sequence[str] = FIGURE1_SCHEMES,
     duration: float = 60.0,
     bin_width: float = 1.0,
-    config: Optional[RunConfig] = None,
+) -> List[Task]:
+    """One time-series emulation per scheme, as pool tasks."""
+    return [
+        partial(_scheme_timeseries, scheme, link_name, duration, bin_width)
+        for scheme in schemes
+    ]
+
+
+def assemble_figure1(
+    series: Sequence[SchemeTimeseries],
+    link_name: str = FIGURE1_LINK,
+    duration: float = 60.0,
+    bin_width: float = 1.0,
 ) -> Figure1Data:
-    """Regenerate the data behind Figure 1."""
-    del config  # the time-series figure always runs the full window
+    """Figure 1 from the results of :func:`figure1_tasks` plus the link's capacity."""
     link = get_link(link_name)
-    from repro.traces.networks import link_trace
-
-    trace = link_trace(link, duration)
-    capacity_times, capacity_kbps = capacity_timeseries(trace, bin_width=bin_width)
-
-    series: Dict[str, SchemeTimeseries] = {}
-    for scheme in schemes:
-        series[scheme] = _scheme_timeseries(scheme, link_name, duration, bin_width)
+    capacity_times, capacity_kbps = capacity_timeseries(
+        link_trace(link, duration), bin_width=bin_width
+    )
     return Figure1Data(
         link=link.name,
         capacity_times=capacity_times,
         capacity_kbps=capacity_kbps,
-        schemes=series,
+        schemes={one.scheme: one for one in series},
     )
+
+
+def run_figure1(
+    link_name: str = FIGURE1_LINK,
+    schemes: Sequence[str] = FIGURE1_SCHEMES,
+    duration: float = 60.0,
+    bin_width: float = 1.0,
+    config: Optional[RunConfig] = None,
+    jobs: Optional[int] = None,
+) -> Figure1Data:
+    """Regenerate the data behind Figure 1."""
+    del config  # the time-series figure always runs the full window
+    tasks = figure1_tasks(link_name, schemes, duration, bin_width)
+    return assemble_figure1(run_tasks(tasks, jobs=jobs), link_name, duration, bin_width)
 
 
 def render_figure1(data: Figure1Data) -> str:

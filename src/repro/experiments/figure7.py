@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-from repro.experiments.parallel import run_matrix
+from repro.experiments.parallel import Cell, run_cells
 from repro.experiments.registry import FIGURE7_SCHEMES
 from repro.experiments.runner import ProgressCallback, RunConfig
 from repro.metrics.summary import SchemeResult
@@ -42,6 +42,17 @@ class Figure7Data:
         return min(rows, key=lambda r: r.self_inflicted_delay_s).scheme
 
 
+def figure7_cells(
+    schemes: Optional[Sequence[str]] = None,
+    links: Optional[Sequence[str]] = None,
+    config: Optional[RunConfig] = None,
+) -> List[Cell]:
+    """The measurement matrix as cells, scheme-major and link-minor."""
+    scheme_list = list(schemes) if schemes is not None else list(FIGURE7_SCHEMES)
+    link_list = list(links) if links is not None else link_names()
+    return [(scheme, link, config) for scheme in scheme_list for link in link_list]
+
+
 def run_figure7(
     schemes: Optional[Sequence[str]] = None,
     links: Optional[Sequence[str]] = None,
@@ -59,12 +70,8 @@ def run_figure7(
         jobs: worker processes for the matrix (``None``/1 = serial, 0 = one
             per CPU); results are identical regardless.
     """
-    scheme_list = list(schemes) if schemes is not None else list(FIGURE7_SCHEMES)
-    link_list = list(links) if links is not None else link_names()
-    results = run_matrix(
-        scheme_list, link_list, config=config, progress=progress, jobs=jobs
-    )
-    return Figure7Data(results=results)
+    cells = figure7_cells(schemes, links, config)
+    return Figure7Data(results=run_cells(cells, progress=progress, jobs=jobs))
 
 
 def render_figure7(data: Figure7Data) -> str:

@@ -8,15 +8,23 @@ resulting frontier, together with the other schemes for context.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence
 
+from repro.core.connection import SproutConfig
+from repro.experiments.parallel import Cell, run_cells
 from repro.experiments.registry import sprout_with_confidence
-from repro.experiments.runner import RunConfig, run_scheme_on_link
+from repro.experiments.runner import RunConfig
 from repro.metrics.summary import SchemeResult
+
+#: the link the paper sweeps on
+FIGURE9_LINK = "T-Mobile 3G (UMTS) uplink"
 
 #: the confidence values swept in the paper
 DEFAULT_CONFIDENCES = (0.95, 0.75, 0.50, 0.25, 0.05)
+
+#: the other schemes placed on the figure for context
+FIGURE9_CONTEXT = ("Sprout-EWMA", "Cubic", "Vegas", "Skype")
 
 
 @dataclass
@@ -32,21 +40,52 @@ class Figure9Data:
         return [self.sweep[c] for c in sorted(self.sweep, reverse=True)]
 
 
-def run_figure9(
-    link_name: str = "T-Mobile 3G (UMTS) uplink",
+def figure9_cells(
+    link_name: str = FIGURE9_LINK,
     confidences: Sequence[float] = DEFAULT_CONFIDENCES,
-    context_schemes: Sequence[str] = ("Sprout-EWMA", "Cubic", "Vegas", "Skype"),
+    context_schemes: Sequence[str] = FIGURE9_CONTEXT,
     config: Optional[RunConfig] = None,
+) -> List[Cell]:
+    """Figure 9's cells: one per swept confidence, then the context schemes.
+
+    The default-confidence point is declared as the registry ``Sprout``: the
+    same endpoints under another label, so a batch that also holds the
+    Figure 7 matrix runs that cell once (:func:`assemble_figure9` puts the
+    ``Sprout (95%)`` label back).
+    """
+    default = SproutConfig().confidence
+    sweep = [
+        "Sprout" if confidence == default else sprout_with_confidence(confidence)
+        for confidence in confidences
+    ]
+    return [(scheme, link_name, config) for scheme in (*sweep, *context_schemes)]
+
+
+def assemble_figure9(
+    results: Sequence[SchemeResult],
+    link_name: str = FIGURE9_LINK,
+    confidences: Sequence[float] = DEFAULT_CONFIDENCES,
+) -> Figure9Data:
+    """Figure 9 from the results of :func:`figure9_cells`, in cell order."""
+    sweep = {
+        confidence: replace(result, scheme=sprout_with_confidence(confidence).name)
+        for confidence, result in zip(confidences, results)
+    }
+    return Figure9Data(
+        link=link_name, sweep=sweep, context=list(results[len(confidences) :])
+    )
+
+
+def run_figure9(
+    link_name: str = FIGURE9_LINK,
+    confidences: Sequence[float] = DEFAULT_CONFIDENCES,
+    context_schemes: Sequence[str] = FIGURE9_CONTEXT,
+    config: Optional[RunConfig] = None,
+    jobs: Optional[int] = None,
 ) -> Figure9Data:
     """Regenerate the confidence-parameter sweep of Figure 9."""
-    sweep: Dict[float, SchemeResult] = {}
-    for confidence in confidences:
-        spec = sprout_with_confidence(confidence)
-        sweep[confidence] = run_scheme_on_link(spec, link_name, config)
-    context = [
-        run_scheme_on_link(scheme, link_name, config) for scheme in context_schemes
-    ]
-    return Figure9Data(link=link_name, sweep=sweep, context=context)
+    cells = figure9_cells(link_name, confidences, context_schemes, config)
+    return assemble_figure9(run_cells(cells, jobs=jobs), link_name, confidences)
 
 
 def render_figure9(data: Figure9Data) -> str:

@@ -104,6 +104,10 @@ from repro.traces.networks import LinkSpec
 #: one matrix cell: (scheme, link, run parameters)
 Cell = Tuple[Union[str, SchemeSpec], Union[str, LinkSpec], Optional[RunConfig]]
 
+#: one plain pool task: a picklable zero-argument callable, in practice a
+#: :func:`functools.partial` over a module-level function
+Task = Callable[[], object]
+
 #: one batch outcome: the cell's result, or its failure record under
 #: the ``collect``/``retry`` error policies
 CellOutcome = Union[SchemeResult, CellError]
@@ -319,6 +323,36 @@ def shared_pool(jobs: Optional[int] = None) -> Iterator[Optional[ProcessPoolExec
         _SHARED_POOL = None
         if current is not None:
             current.shutdown(wait=True)
+
+
+def start_tasks(tasks: Sequence[Task]) -> Callable[[], List]:
+    """Queue plain tasks on the active shared pool; returns their collector.
+
+    For the simulations that are not ``(scheme, link, config)`` cells
+    (Figure 1's time series, the Section 5.7 runs): submitted at once, ahead
+    of whatever batch the caller runs next, and read back — in task order —
+    by calling the returned function, which re-raises a task's exception.
+    Without an active pool the tasks run in-process when collected.
+    """
+    pool = active_pool()
+    if pool is None:
+        return lambda: [task() for task in tasks]
+    futures = [pool.submit(task) for task in tasks]
+
+    def collect() -> List:
+        try:
+            return [future.result() for future in futures]
+        finally:
+            for future in futures:  # a failed task's siblings still queued
+                future.cancel()
+
+    return collect
+
+
+def run_tasks(tasks: Sequence[Task], jobs: Optional[int] = None) -> List:
+    """Run plain tasks side by side (``jobs`` as in :func:`shared_pool`)."""
+    with shared_pool(jobs):
+        return start_tasks(tasks)()
 
 
 # ------------------------------------------------------------- execution

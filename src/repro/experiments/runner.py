@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Union
+from dataclasses import dataclass
+from typing import Callable, Iterable, List, Optional, Union
 
 from repro.baselines.omniscient import omniscient_delay
 from repro.cellsim.cellsim import Cellsim, build_cellsim, cellsim_for_link, traces_for_link
@@ -184,18 +184,4 @@ def run_matrix(
             results.append(result)
             if progress is not None:
                 progress(result)
-    return results
-
-
-def run_with_loss_rates(
-    scheme: Union[str, SchemeSpec],
-    link: Union[str, LinkSpec],
-    loss_rates: Sequence[float],
-    config: Optional[RunConfig] = None,
-) -> Dict[float, SchemeResult]:
-    """Run one scheme over one link at several Bernoulli loss rates (§5.6)."""
-    cfg = config if config is not None else RunConfig()
-    results: Dict[float, SchemeResult] = {}
-    for rate in loss_rates:
-        results[rate] = run_scheme_on_link(scheme, link, replace(cfg, loss_rate=rate))
     return results

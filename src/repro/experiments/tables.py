@@ -8,13 +8,13 @@ run can feed the introduction tables without repeating work).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence
 
 from repro.experiments.competing import CompetingComparison, run_competing_comparison
-from repro.experiments.parallel import run_matrix
+from repro.experiments.parallel import Cell, run_cells, run_matrix
 from repro.experiments.registry import INTRO_TABLE_SCHEMES
-from repro.experiments.runner import RunConfig, run_with_loss_rates
+from repro.experiments.runner import RunConfig
 from repro.metrics.summary import (
     RelativeComparison,
     SchemeResult,
@@ -102,6 +102,9 @@ def render_ewma_table(comparisons: List[RelativeComparison]) -> str:
 #: the loss rates evaluated by the paper (each direction independently)
 LOSS_RATES = (0.0, 0.05, 0.10)
 
+#: the two directions the paper measures under loss
+LOSS_LINKS = ("Verizon LTE downlink", "Verizon LTE uplink")
+
 
 @dataclass
 class LossTableData:
@@ -110,17 +113,43 @@ class LossTableData:
     rows: Dict[str, Dict[float, SchemeResult]]
 
 
-def loss_table(
+def loss_table_cells(
     scheme: str = "Sprout",
-    links: Sequence[str] = ("Verizon LTE downlink", "Verizon LTE uplink"),
+    links: Sequence[str] = LOSS_LINKS,
     loss_rates: Sequence[float] = LOSS_RATES,
     config: Optional[RunConfig] = None,
+) -> List[Cell]:
+    """The Section 5.6 cells, link-major: every loss rate on every link."""
+    cfg = config if config is not None else RunConfig()
+    return [
+        (scheme, link, replace(cfg, loss_rate=rate))
+        for link in links
+        for rate in loss_rates
+    ]
+
+
+def assemble_loss_table(
+    results: Sequence[SchemeResult],
+    links: Sequence[str] = LOSS_LINKS,
+    loss_rates: Sequence[float] = LOSS_RATES,
+) -> LossTableData:
+    """The loss table from the results of :func:`loss_table_cells`, in cell order."""
+    ordered = iter(results)
+    return LossTableData(
+        rows={link: {rate: next(ordered) for rate in loss_rates} for link in links}
+    )
+
+
+def loss_table(
+    scheme: str = "Sprout",
+    links: Sequence[str] = LOSS_LINKS,
+    loss_rates: Sequence[float] = LOSS_RATES,
+    config: Optional[RunConfig] = None,
+    jobs: Optional[int] = None,
 ) -> LossTableData:
     """Regenerate the Section 5.6 loss-resilience table."""
-    rows: Dict[str, Dict[float, SchemeResult]] = {}
-    for link in links:
-        rows[link] = run_with_loss_rates(scheme, link, loss_rates, config=config)
-    return LossTableData(rows=rows)
+    cells = loss_table_cells(scheme, links, loss_rates, config)
+    return assemble_loss_table(run_cells(cells, jobs=jobs), links, loss_rates)
 
 
 def render_loss_table(data: LossTableData) -> str:
@@ -144,6 +173,9 @@ def tunnel_table(
     link_name: str = "Verizon LTE downlink",
     duration: float = 60.0,
     warmup: float = 10.0,
+    jobs: Optional[int] = None,
 ) -> CompetingComparison:
     """Regenerate the Section 5.7 table (Cubic + Skype, direct vs tunnel)."""
-    return run_competing_comparison(link_name, duration=duration, warmup=warmup)
+    return run_competing_comparison(
+        link_name, duration=duration, warmup=warmup, jobs=jobs
+    )

@@ -60,6 +60,30 @@ def test_unknown_scheme_rejected_by_argparse():
         main(["run", "QUIC", "Verizon LTE downlink"])
 
 
+@pytest.mark.parametrize(
+    "argv, driver",
+    [
+        (["figure", "1"], "run_figure1"),
+        (["figure", "9"], "run_figure9"),
+        (["table", "loss"], "loss_table"),
+        (["table", "tunnel"], "tunnel_table"),
+    ],
+)
+def test_jobs_reaches_every_command_that_runs_several_emulations(monkeypatch, argv, driver):
+    """``--jobs`` used to be accepted and dropped by these four."""
+    from repro import cli
+
+    class Reached(Exception):
+        pass
+
+    def spy(**kwargs):
+        raise Reached(kwargs["jobs"])
+
+    monkeypatch.setattr(cli, driver, spy)
+    with pytest.raises(Reached, match="^2$"):
+        main(argv + ["--duration", "12", "--warmup", "2", "--jobs", "2"])
+
+
 def test_list_command_names_sweep_parameters(capsys):
     assert main(["list"]) == 0
     out = capsys.readouterr().out

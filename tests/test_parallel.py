@@ -8,6 +8,7 @@ parallel path must return the same ``SchemeResult`` rows, in the same
 from __future__ import annotations
 
 import pickle
+from functools import partial
 
 import pytest
 
@@ -122,6 +123,43 @@ def test_shared_pool_exit_shuts_down_rebuilt_pool():
     for process in workers:
         process.join(max(0.0, deadline - _time.time()))
         assert not process.is_alive()
+
+
+# ------------------------------------------------------------ plain tasks
+
+TASKS = [partial(pow, 2, 5), partial(divmod, 7, 2), partial(int, "11")]
+
+
+@pytest.mark.parametrize("jobs", [None, 1, 2])
+def test_run_tasks_returns_results_in_task_order(jobs):
+    from repro.experiments.parallel import run_tasks
+
+    assert run_tasks(TASKS, jobs=jobs) == [32, (3, 1), 11]
+
+
+def test_started_tasks_survive_a_batch_on_the_same_pool():
+    import multiprocessing
+
+    from repro.experiments.parallel import run_cells, shared_pool, start_tasks
+
+    with shared_pool(2):
+        collect = start_tasks(TASKS)
+        # A batch on the same pool runs behind them, not instead of them.
+        (cell,) = run_cells([("Vegas", LINKS_2[0], RunConfig(duration=6.0, warmup=1.0))])
+        assert cell.scheme == "Vegas"
+        assert collect() == [32, (3, 1), 11]
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("jobs", [None, 2])
+def test_a_failing_task_raises_from_the_collector_and_leaves_no_worker(jobs):
+    import multiprocessing
+
+    from repro.experiments.parallel import run_tasks
+
+    with pytest.raises(ValueError, match="invalid literal"):
+        run_tasks([partial(pow, 2, 5), partial(int, "eleven"), partial(pow, 2, 6)], jobs=jobs)
+    assert multiprocessing.active_children() == []
 
 
 # ------------------------------------------- model builds as gated pool tasks

@@ -4,7 +4,8 @@ import math
 
 import pytest
 
-from repro.experiments.runner import RunConfig, run_matrix, run_scheme_on_link, run_with_loss_rates
+from repro.experiments.runner import RunConfig, run_matrix, run_scheme_on_link
+from repro.experiments.tables import loss_table
 
 
 def test_run_config_validation():
@@ -60,9 +61,9 @@ def test_run_matrix_progress_callback(short_run_config):
 
 
 def test_loss_sweep_reduces_sprout_throughput(short_run_config):
-    results = run_with_loss_rates(
-        "Sprout-EWMA", "Verizon LTE downlink", [0.0, 0.10], config=short_run_config
-    )
+    results = loss_table(
+        "Sprout-EWMA", ["Verizon LTE downlink"], [0.0, 0.10], config=short_run_config
+    ).rows["Verizon LTE downlink"]
     assert set(results) == {0.0, 0.10}
     assert results[0.10].throughput_bps < results[0.0].throughput_bps
     # Even at 10% loss the transfer keeps making useful progress.
