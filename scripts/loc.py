@@ -11,8 +11,11 @@ Simplification is reported the way speed is — as numbers from one tool
 * **names**: ``len(repro.experiments.__all__)``, the experiment package's
   public surface.
 
-``python scripts/loc.py FILE...`` restricts the per-file table to paths
-ending in one of the given suffixes (e.g. ``parallel.py sweeps.py``).
+One subtotal row per top-level package (``repro/transport/``,
+``repro/experiments/``, …; modules directly under ``repro`` count as
+``repro/*.py``) comes before the grand total, so a PR can cite a package's
+size from the tool.  ``python scripts/loc.py FILE...`` adds per-file rows
+for paths ending in one of the given suffixes (e.g. ``parallel.py sweeps.py``).
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import io
 import os
 import sys
 import tokenize
-from typing import List, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC_ROOT = os.path.join(REPO_ROOT, "src")
@@ -79,6 +82,16 @@ def main(argv: List[str]) -> int:
     for name, total, code in rows:
         if argv and name.endswith(tuple(argv)):
             print(f"{name:44s} {total:6d} total {code:6d} code-only")
+    packages: Dict[str, List[int]] = {}
+    for name, total, code in rows:
+        parts = name.split(os.sep)
+        package = f"repro/{parts[1]}/" if len(parts) > 2 else "repro/*.py"
+        subtotal = packages.setdefault(package, [0, 0, 0])
+        subtotal[0] += 1
+        subtotal[1] += total
+        subtotal[2] += code
+    for package, (files, total, code) in sorted(packages.items()):
+        print(f"{package:44s} {total:6d} total {code:6d} code-only  ({files} files)")
     sys.path.insert(0, SRC_ROOT)
     import repro.experiments
 

@@ -308,7 +308,6 @@ def _cmd_live(args: argparse.Namespace) -> int:
             transfer_bytes=args.bytes,
             repeats=args.repeats,
             loss_rate=args.loss,
-            loss_seed=args.loss_seed,
             deadline=args.deadline,
             ewma=args.ewma,
             impair=args.impair,
@@ -559,15 +558,10 @@ def build_parser() -> argparse.ArgumentParser:
         type=_probability,
         default=0.0,
         metavar="PROBABILITY",
-        help="deterministic injected datagram-loss probability in [0, 1) "
-        "(selective repeat must recover everything; default %(default)s)",
-    )
-    live_parser.add_argument(
-        "--loss-seed",
-        type=int,
-        default=0,
-        dest="loss_seed",
-        help="seed of the deterministic loss gate (default %(default)s)",
+        help="sender-side datagram-loss probability in [0, 1): shorthand for "
+        "a 'loss:p=PROBABILITY,dir=up' stage ahead of --impair, seeded by "
+        "--impair-seed (selective repeat must recover everything; "
+        "default %(default)s)",
     )
     live_parser.add_argument(
         "--deadline",

@@ -15,20 +15,23 @@ datagrams, opening the emulation-vs-reality scenario axis
   receiver-side reorder/dedup window, and the RFC 6298-style adaptive RTO
   (SRTT/RTTVAR) that paces retransmissions when the feedback channel goes
   quiet;
-* :mod:`repro.transport.endpoint` — UDP endpoints: a wall-clock
+* :mod:`repro.transport.endpoint` — UDP endpoints, a sender and a receiver
+  role on one shared socket lifecycle: a wall-clock
   :class:`~repro.transport.endpoint.WallClockContext` stands in for the
   simulator's ``HostContext``, and a
   :class:`~repro.core.forecaster.TickFromWallClock` adapter maps real time
   onto the forecaster's 20 ms tick lattice;
 * :mod:`repro.transport.impair` — the seed-deterministic adversarial
-  impairment pipeline (``--impair``): Gilbert–Elliott bursty loss,
-  reordering, duplication, byte corruption, rate throttling, and blackout
-  windows composed per direction at the socket boundary, plus the
+  impairment pipeline (``--impair``, and ``--loss`` as its sender-side
+  ``loss`` stage): uniform and Gilbert–Elliott bursty loss, reordering,
+  duplication, byte corruption, rate throttling, and blackout windows
+  composed per direction at the socket boundary — the transport's only
+  injector — plus the
   :class:`~repro.transport.impair.EventRing` /
   :class:`~repro.transport.impair.PeerQuarantine` lifecycle helpers;
 * :mod:`repro.transport.harness` — the live measurement harness behind
   ``repro live``: sized transfers over loopback with configurable repeats,
-  deterministic datagram-loss/impairment injection, a watchdog that turns
+  deterministic impairment injection, a watchdog that turns
   hangs into structured :class:`~repro.transport.endpoint.TransferAborted`
   diagnoses, and throughput / per-packet delay percentile reporting in the
   same :class:`~repro.metrics.summary.SchemeResult` shape the sweep/export

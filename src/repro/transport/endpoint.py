@@ -14,6 +14,12 @@ packet — so running them live takes three adapters and no protocol changes:
   (:mod:`repro.transport.reliable`), and the translation between wire
   frames and the header-dict packets the protocols parse.
 
+Both endpoints are one :class:`_Endpoint` lifecycle — socket, clock,
+tick adapter, event ring, quarantine, decode accounting, the send path
+through the impairment pipeline, the wait-drain-decode wake-up, the
+diagnosis skeleton and the close — with their own protocol, reliability
+half, frame handlers and loop on top.
+
 The lifecycle is hardened against adversarial networks
 (:mod:`repro.transport.impair` injects them deliberately):
 
@@ -31,24 +37,21 @@ The lifecycle is hardened against adversarial networks
   datagrams, and every lifecycle event lands in a timestamped
   :class:`~repro.transport.impair.EventRing` for postmortems.
 
-Loss injection happens at the sender's ``sendto``: a deterministic
-Bernoulli gate (the sha256 idiom of :func:`repro.testing.faults._coin`,
-keyed on ``(seed, wire_seq, attempt)``) silently drops the datagram, so a
-10% loss test replays identically every run while the selective-repeat
-machinery does real recovery work.  Richer adversarial behaviour (bursty
-loss, reordering, duplication, corruption, throttling, blackouts) comes
-from an :class:`~repro.transport.impair.ImpairmentPipeline` applied at the
-same boundary, per direction.
+Every adversarial behaviour — uniform or bursty loss, reordering,
+duplication, corruption, throttling, blackouts — is injected in one place:
+the :class:`~repro.transport.impair.ImpairmentPipeline` each endpoint
+sends through, per direction.  ``repro live --loss P`` is that pipeline's
+``loss`` stage on the sender's side, so every datagram (CLOSE included)
+crosses it and every drop shows in its counters, fate log and replay check.
 """
 
 from __future__ import annotations
 
-import hashlib
 import logging
 import select
 import socket
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.forecaster import EWMAForecaster, TickFromWallClock
@@ -86,9 +89,6 @@ from repro.transport.wire import (
 
 _LOG = logging.getLogger("repro.transport")
 
-#: loss gate: ``(wire_seq, attempt) -> True`` to drop the datagram unsent
-LossGate = Callable[[int, int], bool]
-
 #: ceiling on one select() sleep, so deadline checks stay responsive
 MAX_SELECT_WAIT = 0.05
 
@@ -119,26 +119,6 @@ def default_watchdog(deadline: float) -> float:
     return min(4.0, max(0.5, deadline / 4.0))
 
 
-def bernoulli_loss_gate(probability: float, seed: int = 0) -> LossGate:
-    """Deterministic datagram-loss gate (sha256 Bernoulli draw).
-
-    The decision hashes ``(seed, wire_seq, attempt)`` — the same idiom as
-    :func:`repro.testing.faults._coin` — so a retransmission of a dropped
-    seq draws a fresh coin, and the whole loss pattern replays identically
-    for a given seed.
-    """
-    if not 0.0 <= probability < 1.0:
-        raise ValueError(f"loss probability must be in [0, 1), got {probability}")
-
-    def gate(wire_seq: int, attempt: int) -> bool:
-        digest = hashlib.sha256(
-            f"{seed}|datagram|{wire_seq}|{attempt}".encode("utf-8")
-        ).digest()
-        return int.from_bytes(digest[:8], "big") / 2**64 < probability
-
-    return gate
-
-
 # --------------------------------------------------------- structured aborts
 
 
@@ -166,26 +146,10 @@ class TransferDiagnosis:
     events: List[TransportEvent] = field(default_factory=list)
 
     def as_dict(self) -> Dict[str, object]:
-        payload: Dict[str, object] = {
-            "reason": self.reason,
-            "role": self.role,
-            "elapsed_s": self.elapsed_s,
-            "last_heard_age_s": self.last_heard_age_s,
-            "last_progress_age_s": self.last_progress_age_s,
-            "datagrams_sent": self.datagrams_sent,
-            "feedback_received": self.feedback_received,
-            "decode_errors": self.decode_errors,
-            "total_retransmits": self.total_retransmits,
-            "fast_retransmits": self.fast_retransmits,
-            "timeout_retransmits": self.timeout_retransmits,
-            "rto_backoffs": self.rto_backoffs,
-            "outstanding": self.outstanding,
-            "outstanding_bytes": self.outstanding_bytes,
-            "ticks_skipped": self.ticks_skipped,
-            "quarantined_peers": self.quarantined_peers,
-        }
-        if self.cause:
-            payload["cause"] = self.cause
+        """Every field in declaration order; ``cause`` only when set."""
+        payload = {spec.name: getattr(self, spec.name) for spec in fields(self)}
+        if not self.cause:
+            del payload["cause"]
         payload["events"] = [(e.t, e.kind, e.detail) for e in self.events]
         return payload
 
@@ -281,20 +245,189 @@ class SizedTransferProvider:
         return sizes
 
 
-def _drain_datagrams(sock: socket.socket) -> List[Tuple[bytes, Tuple]]:
-    """Non-blocking drain of every datagram currently queued on ``sock``."""
-    datagrams: List[Tuple[bytes, Tuple]] = []
-    while True:
+class _Endpoint:
+    """The lifecycle both ends of a live transfer share.
+
+    Owns the non-blocking UDP socket and its close, the shared clock, the
+    :class:`WallClockContext` / :class:`TickFromWallClock` adapters around
+    the role's protocol object, the event ring (attached to the impairment
+    pipeline too), peer quarantine and decode-error accounting, the one
+    send path (pipeline, then ``sendto`` to :attr:`peer`), the one wake-up
+    (:meth:`_wait`) and the common half of every :class:`TransferDiagnosis`.
+    A role supplies its protocol, its reliability half, its frame handlers,
+    :meth:`_loop` and :meth:`_transfer_state`; nothing here asks which role
+    it is serving.
+    """
+
+    role = ""
+
+    def __init__(
+        self,
+        protocol,
+        transmit: Callable[[Packet], None],
+        clock: Callable[[], float],
+        deadline: float,
+        impairment: Optional[ImpairmentPipeline],
+        watchdog: Optional[float],
+        ring: Optional[EventRing],
+    ) -> None:
+        if watchdog is not None and watchdog <= 0:
+            raise ValueError(f"watchdog must be positive, got {watchdog}")
+        self.clock = clock
+        self.deadline = float(deadline)
+        self.watchdog = watchdog
+        self.impairment = impairment
+        self.ring = ring if ring is not None else EventRing()
+        if impairment is not None and impairment.ring is None:
+            impairment.ring = self.ring
+        self.protocol = protocol
+        self.ctx = WallClockContext(clock, transmit, f"live-{self.role}")
+        self.ticker = TickFromWallClock(protocol.tick_interval)
+        self.quarantine = PeerQuarantine()
+        self.sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+        self.sock.setblocking(False)
+        #: where datagrams go: the sender's remote, the receiver's last source
+        self.peer: Optional[Tuple] = None
+        self.datagrams_sent = 0
+        self.malformed_received = 0
+        self.elapsed = 0.0
+        self._started = 0.0
+        self._last_heard = 0.0
+
+    @property
+    def decode_errors(self) -> int:
+        """Datagrams that failed :func:`decode_frame` (alias for reports)."""
+        return self.malformed_received
+
+    # ----------------------------------------------------------- lifecycle
+
+    def run(self) -> bool:
+        """Start the protocol, run the role's loop, close the socket.
+
+        Returns the loop's verdict (sender: every wire seq acked; receiver:
+        the CLOSE handshake was seen).  A watchdog expiry or a failed peer
+        raises :class:`TransferAborted` with a populated diagnosis; whatever
+        happens, start-up included, the socket is closed on the way out.
+        """
+        self._started = self._last_heard = self.clock()
         try:
-            data, addr = sock.recvfrom(65536)
-        except (BlockingIOError, InterruptedError):
-            return datagrams
+            self.protocol.start(self.ctx)
+            self.ticker.start(self._started)
+            if self.impairment is not None:
+                self.impairment.start(self._started)
+            return self._loop(self._started + self.deadline)
+        finally:
+            self.elapsed = self.clock() - self._started
+            self.close()
+
+    def close(self) -> None:
+        """Release the socket (idempotent; the harness calls it again)."""
+        self.sock.close()
+
+    def _loop(self, give_up: float) -> bool:
+        raise NotImplementedError
+
+    # ---------------------------------------------------------------- send
+
+    def _send(self, encoded: bytes, now: float) -> None:
+        """Hand one datagram to the wire, via the impairment pipeline if any."""
+        if self.impairment is None:
+            self._sendto(encoded)
+            return
+        for out in self.impairment.submit(encoded, now):
+            self._sendto(out)
+
+    def _sendto(self, datagram: bytes) -> None:
+        try:
+            self.sock.sendto(datagram, self.peer)
+        except OSError as error:
+            # A full socket buffer behaves like loss: the RTO recovers data,
+            # and the feedback channel is unreliable by design.
+            _LOG.debug("sendto failed: %s", error)
+            return
+        self.datagrams_sent += 1
+
+    def _pump_impairment(self, now: float) -> None:
+        if self.impairment is not None:
+            for out in self.impairment.pump(now):
+                self._sendto(out)
+
+    # ------------------------------------------------------------- receive
+
+    def _wait(self, now: float, *deadlines: Optional[float]) -> Tuple[float, List[Tuple]]:
+        """Sleep until a datagram arrives or the nearest deadline, then read.
+
+        ``deadlines`` are the caller's (``None`` entries skipped); the
+        pipeline's held-datagram deadline is always among them and no sleep
+        exceeds :data:`MAX_SELECT_WAIT`.  Returns the wake-up time and the
+        ``(frame, source)`` pairs that decoded.  Measured delays depend on
+        the order here: the clock is read once, right after ``select``, the
+        socket is drained in a tight loop *before* anything is decoded, and
+        every frame of the wake-up is handled with that one ``now``.
+        """
+        wake = now + MAX_SELECT_WAIT
+        if self.impairment is not None:
+            deadlines += (self.impairment.next_deadline(),)
+        for deadline in deadlines:
+            if deadline is not None and deadline < wake:
+                wake = deadline
+        readable, _, _ = select.select([self.sock], [], [], max(0.0, wake - now))
+        now = self.clock()
+        datagrams: List[Tuple[bytes, Tuple]] = []
+        try:
+            while readable:
+                datagrams.append(self.sock.recvfrom(65536))
         except OSError:
-            return datagrams
-        datagrams.append((data, addr))
+            pass  # BlockingIOError: drained (any other socket error ends it too)
+        frames = []
+        for data, addr in datagrams:
+            frame = self._decode(data, addr, now)
+            if frame is not None:
+                frames.append((frame, addr))
+        return now, frames
+
+    def _decode(self, data: bytes, addr: Tuple, now: float):
+        """Decode one datagram with quarantine accounting; None if rejected."""
+        if self.quarantine.is_quarantined(addr):
+            return None
+        try:
+            frame = decode_frame(data)
+        except WireFormatError as error:
+            self.malformed_received += 1
+            self.ring.record(now, "decode_error", str(error))
+            if self.quarantine.note_malformed(addr):
+                self.ring.record(now, "quarantine", f"peer {addr!r}")
+            return None
+        self.quarantine.note_valid(addr)
+        return frame
+
+    # ------------------------------------------------------------ watchdog
+
+    def _transfer_state(self, now: float) -> Dict[str, float]:
+        """The role's half of a diagnosis: progress and reliability counters."""
+        raise NotImplementedError
+
+    def _abort(self, now: float, reason: str, cause: str = "") -> None:
+        """Ring-log and raise a :class:`TransferAborted` for ``reason``."""
+        self.ring.record(now, "watchdog_abort", reason)
+        raise TransferAborted(
+            TransferDiagnosis(
+                reason=reason,
+                role=self.role,
+                elapsed_s=now - self._started,
+                last_heard_age_s=now - self._last_heard,
+                datagrams_sent=self.datagrams_sent,
+                decode_errors=self.malformed_received,
+                ticks_skipped=self.ticker.ticks_skipped,
+                quarantined_peers=self.quarantine.quarantined_peers,
+                cause=cause,
+                events=self.ring.tail(16),
+                **self._transfer_state(now),
+            )
+        )
 
 
-class SenderEndpoint:
+class SenderEndpoint(_Endpoint):
     """Live Sprout sender: protocol + selective repeat + the socket loop.
 
     Runs a sized transfer to ``remote``: the Sprout window paces fresh
@@ -313,61 +446,41 @@ class SenderEndpoint:
     the harness surface a crashed receiver thread immediately.
     """
 
+    role = "sender"
+
     def __init__(
         self,
         remote: Tuple[str, int],
         total_bytes: int,
         clock: Callable[[], float],
-        loss_gate: Optional[LossGate] = None,
         deadline: float = 30.0,
-        ewma: bool = False,
         rto: Optional[AdaptiveRTO] = None,
         impairment: Optional[ImpairmentPipeline] = None,
         watchdog: Optional[float] = None,
         abort_check: Optional[Callable[[], Optional[BaseException]]] = None,
         ring: Optional[EventRing] = None,
     ) -> None:
-        self.remote = remote
         self.provider = SizedTransferProvider(total_bytes)
-        self.clock = clock
-        self.loss_gate = loss_gate
-        self.deadline = float(deadline)
-        self.ewma = ewma  # recorded for the harness report; the sender side
-        # has no forecaster of its own, the receiver picks the engine.
-        self.impairment = impairment
-        if watchdog is not None and watchdog <= 0:
-            raise ValueError(f"watchdog must be positive, got {watchdog}")
-        self.watchdog = watchdog
+        super().__init__(
+            SproutSender(payload_provider=self.provider, flow_id="sprout-live"),
+            self._transmit_packet,
+            clock,
+            deadline,
+            impairment,
+            watchdog,
+            ring,
+        )
+        self.peer = remote
         self.abort_check = abort_check
-        self.ring = ring if ring is not None else EventRing()
-        if impairment is not None and impairment.ring is None:
-            impairment.ring = self.ring
-        self.protocol = SproutSender(payload_provider=self.provider, flow_id="sprout-live")
-        self.ctx = WallClockContext(clock, self._transmit_packet, "live-sender")
         self.buffer = RetransmitBuffer(rto=rto)
-        self.ticker = TickFromWallClock(self.protocol.tick_interval)
-        self.quarantine = PeerQuarantine()
-        self.sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-        self.sock.setblocking(False)
         self._next_seq = 0
-        self.datagrams_sent = 0
-        self.injected_drops = 0
-        self.malformed_received = 0
         self.feedback_received = 0
         self.rto_backoffs = 0
-        self.backpressure_deferrals = 0
         self.close_retransmits = 0
         self.close_acked = False
         self.completed = False
-        self.elapsed = 0.0
-        self._last_heard = 0.0
         self._last_progress = 0.0
         self._stalled = False
-
-    @property
-    def decode_errors(self) -> int:
-        """Datagrams that failed :func:`decode_frame` (alias for reports)."""
-        return self.malformed_received
 
     # ------------------------------------------------------------ transmit
 
@@ -398,35 +511,7 @@ class SenderEndpoint:
             return
         self.buffer.track(frame.wire_seq, encoded, now)
         self._next_seq = seq_add(self._next_seq)
-        self._raw_send(frame.wire_seq, encoded, attempt=0)
-
-    def _raw_send(self, wire_seq: int, encoded: bytes, attempt: int) -> None:
-        if self.loss_gate is not None and self.loss_gate(wire_seq, attempt):
-            self.injected_drops += 1
-            return
-        self._emit(encoded)
-
-    def _emit(self, encoded: bytes) -> None:
-        """Hand one datagram to the wire, via the impairment pipeline if any."""
-        if self.impairment is None:
-            self._sendto(encoded)
-            return
-        for out in self.impairment.submit(encoded, self.ctx.now()):
-            self._sendto(out)
-
-    def _sendto(self, encoded: bytes) -> None:
-        try:
-            self.sock.sendto(encoded, self.remote)
-        except OSError as error:
-            # A full socket buffer behaves like loss; the RTO recovers it.
-            _LOG.debug("sendto failed: %s", error)
-            return
-        self.datagrams_sent += 1
-
-    def _pump_impairment(self, now: float) -> None:
-        if self.impairment is not None:
-            for out in self.impairment.pump(now):
-                self._sendto(out)
+        self._send(encoded, now)
 
     # ------------------------------------------------------------ feedback
 
@@ -469,48 +554,33 @@ class SenderEndpoint:
                     self.ring.record(
                         now, "rto_backoff", f"wire seq {wire_seq} attempt {attempts}"
                     )
-            self._raw_send(wire_seq, refreshed, attempt=attempts)
+            self._send(refreshed, now)
 
     # ------------------------------------------------------------ watchdog
 
-    def _diagnosis(self, reason: str, now: float, start: float, cause: str = "") -> TransferDiagnosis:
-        return TransferDiagnosis(
-            reason=reason,
-            role="sender",
-            elapsed_s=now - start,
-            last_heard_age_s=now - self._last_heard,
+    def _transfer_state(self, now: float) -> Dict[str, float]:
+        return dict(
             last_progress_age_s=now - self._last_progress,
-            datagrams_sent=self.datagrams_sent,
             feedback_received=self.feedback_received,
-            decode_errors=self.malformed_received,
             total_retransmits=self.buffer.total_retransmits,
             fast_retransmits=self.buffer.fast_retransmits,
             timeout_retransmits=self.buffer.timeout_retransmits,
             rto_backoffs=self.rto_backoffs,
             outstanding=len(self.buffer),
             outstanding_bytes=self.buffer.bytes_held,
-            ticks_skipped=self.ticker.ticks_skipped,
-            quarantined_peers=self.quarantine.quarantined_peers,
-            cause=cause,
-            events=self.ring.tail(16),
         )
 
-    def _check_watchdog(self, now: float, start: float) -> None:
+    def _check_watchdog(self, now: float) -> None:
         if self.abort_check is not None:
             error = self.abort_check()
             if error is not None:
-                self.ring.record(now, "watchdog_abort", "receiver failure")
-                raise TransferAborted(
-                    self._diagnosis("receiver-failure", now, start, cause=repr(error))
-                )
+                self._abort(now, "receiver-failure", cause=repr(error))
         if self.watchdog is None:
             return
         if now - self._last_heard > self.watchdog:
-            self.ring.record(now, "watchdog_abort", "peer inactivity")
-            raise TransferAborted(self._diagnosis("peer-inactivity", now, start))
+            self._abort(now, "peer-inactivity")
         if now - self._last_progress > self.watchdog:
-            self.ring.record(now, "watchdog_abort", "no progress")
-            raise TransferAborted(self._diagnosis("no-progress", now, start))
+            self._abort(now, "no-progress")
 
     def _note_stall(self, now: float) -> None:
         silent = now - self._last_heard
@@ -521,103 +591,58 @@ class SenderEndpoint:
         else:
             self._stalled = False
 
-    # ----------------------------------------------------------------- run
+    # ---------------------------------------------------------------- loop
 
-    def run(self) -> bool:
+    def _loop(self, give_up: float) -> bool:
         """Drive the transfer to completion; True iff everything was acked.
 
-        Blocks until the payload is fully offered and every wire seq acked
-        (then runs the reliable CLOSE handshake and returns True).  A
-        watchdog expiry or a receiver failure raises
-        :class:`TransferAborted` with a populated diagnosis; only with the
-        watchdog disabled can the transfer run out the ``deadline`` and
-        return False with whatever state the endpoint reached.
+        Runs until the payload is fully offered and every wire seq acked
+        (then runs the reliable CLOSE handshake and returns True).  Only
+        with the watchdog disabled can the transfer run out the deadline
+        and return False with whatever state the endpoint reached.
         """
-        start = self.clock()
-        give_up = start + self.deadline
-        self._last_heard = start
-        self._last_progress = start
-        self.protocol.start(self.ctx)
-        self.ticker.start(start)
-        if self.impairment is not None:
-            self.impairment.start(start)
-        try:
-            while True:
-                now = self.clock()
-                if self.provider.exhausted and len(self.buffer) == 0:
-                    self.completed = True
-                    self._close_handshake(min(give_up, self.clock() + CLOSE_BUDGET))
-                    break
-                if now >= give_up:
-                    self.ring.record(now, "deadline_expired", "")
-                    break
-                self._check_watchdog(now, start)
-                self._note_stall(now)
-                timeout = self._select_timeout(now)
-                readable, _, _ = select.select([self.sock], [], [], timeout)
-                now = self.clock()
-                if readable:
-                    for data, addr in _drain_datagrams(self.sock):
-                        frame = self._decode(data, addr, now)
-                        if isinstance(frame, FeedbackFrame):
-                            self._handle_feedback(frame, now)
-                # In drain mode (payload fully offered) the protocol has
-                # nothing left to say: ticking it would only emit fresh
-                # heartbeats that push completion further out.  Under
-                # buffer backpressure, ticking would offer data the buffer
-                # cannot hold: defer instead of dropping.
-                if not self.provider.exhausted:
-                    if self.buffer.under_backpressure:
-                        if self.ticker.due_ticks(now):
-                            self.backpressure_deferrals += 1
-                            self.ring.record(
-                                now, "backpressure", f"{len(self.buffer)} unacked"
-                            )
-                    else:
-                        for _ in range(self.ticker.due_ticks(now)):
-                            self.protocol.on_tick(now)
-                self._retransmit_due(now)
-                self._pump_impairment(now)
-        finally:
-            self.elapsed = self.clock() - start
-            self.sock.close()
+        self._last_progress = self._started
+        while True:
+            now = self.clock()
+            if self.provider.exhausted and len(self.buffer) == 0:
+                self.completed = True
+                self._close_handshake(min(give_up, self.clock() + CLOSE_BUDGET))
+                break
+            if now >= give_up:
+                self.ring.record(now, "deadline_expired", "")
+                break
+            self._check_watchdog(now)
+            self._note_stall(now)
+            now, frames = self._wait(
+                now,
+                None if self.provider.exhausted else self.ticker.next_deadline(),
+                self.buffer.next_deadline(now),
+            )
+            for frame, _ in frames:
+                if isinstance(frame, FeedbackFrame):
+                    self._handle_feedback(frame, now)
+            # In drain mode (payload fully offered) the protocol has
+            # nothing left to say: ticking it would only emit fresh
+            # heartbeats that push completion further out.  Under
+            # buffer backpressure, ticking would offer data the buffer
+            # cannot hold: defer instead of dropping.
+            if not self.provider.exhausted:
+                if self.buffer.under_backpressure:
+                    if self.ticker.due_ticks(now):
+                        self.ring.record(now, "backpressure", f"{len(self.buffer)} unacked")
+                else:
+                    for _ in range(self.ticker.due_ticks(now)):
+                        self.protocol.on_tick(now)
+            self._retransmit_due(now)
+            self._pump_impairment(now)
         return self.completed
-
-    def _decode(self, data: bytes, addr: Tuple, now: float):
-        """Decode one datagram with quarantine accounting; None if rejected."""
-        if self.quarantine.is_quarantined(addr):
-            return None
-        try:
-            frame = decode_frame(data)
-        except WireFormatError as error:
-            self.malformed_received += 1
-            self.ring.record(now, "decode_error", str(error))
-            if self.quarantine.note_malformed(addr):
-                self.ring.record(now, "quarantine", f"peer {addr!r}")
-            return None
-        self.quarantine.note_valid(addr)
-        return frame
-
-    def _select_timeout(self, now: float) -> float:
-        deadlines = [now + MAX_SELECT_WAIT]
-        tick = self.ticker.next_deadline()
-        if tick is not None and not self.provider.exhausted:
-            deadlines.append(tick)
-        rto = self.buffer.next_deadline(now)
-        if rto is not None:
-            deadlines.append(rto)
-        if self.impairment is not None:
-            held = self.impairment.next_deadline()
-            if held is not None:
-                deadlines.append(held)
-        return max(0.0, min(deadlines) - now)
 
     def _close_handshake(self, give_up: float) -> None:
         """Reliable CLOSE: backoff-retransmit until CLOSE-ACK or budget end.
 
-        CLOSE is exempt from the legacy Bernoulli loss gate (it carries no
-        data) but *does* traverse the impairment pipeline — a blackout over
-        the tail of a transfer exercises exactly this retransmit path.
+        CLOSE crosses the impairment pipeline like every other datagram —
+        a blackout (or ``--loss``) over the tail of a transfer exercises
+        exactly this retransmit path.
         """
         encoded = encode_close(CloseFrame(wire_seq=self._next_seq))
         attempt = 0
@@ -625,29 +650,19 @@ class SenderEndpoint:
             now = self.clock()
             if now >= give_up:
                 break
-            self._emit(encoded)
+            self._send(encoded, now)
             attempt += 1
             if attempt > 1:
                 self.close_retransmits += 1
                 self.ring.record(now, "close_retransmit", f"attempt {attempt}")
             wait_until = min(give_up, now + max(0.02, self.buffer.rto.timeout(attempt - 1)))
-            while True:
-                now = self.clock()
-                if now >= wait_until:
-                    break
-                readable, _, _ = select.select(
-                    [self.sock], [], [], min(MAX_SELECT_WAIT, wait_until - now)
-                )
-                now = self.clock()
+            while now < wait_until:
+                now, frames = self._wait(now, wait_until)
                 self._pump_impairment(now)
-                if not readable:
-                    continue
-                for data, addr in _drain_datagrams(self.sock):
-                    frame = self._decode(data, addr, now)
-                    if isinstance(frame, CloseAckFrame):
-                        self.close_acked = True
-                        self.ring.record(now, "close_acked", f"after {attempt} attempt(s)")
-                        return
+                if any(isinstance(frame, CloseAckFrame) for frame, _ in frames):
+                    self.close_acked = True
+                    self.ring.record(now, "close_acked", f"after {attempt} attempt(s)")
+                    return
         self.ring.record(self.clock(), "close_gave_up", f"after {attempt} attempt(s)")
 
     @property
@@ -656,7 +671,7 @@ class SenderEndpoint:
         return len(self.buffer)
 
 
-class ReceiverEndpoint:
+class ReceiverEndpoint(_Endpoint):
     """Live Sprout receiver: reorder window + protocol + feedback frames.
 
     Binds a loopback UDP socket (ephemeral port by default; read
@@ -673,6 +688,8 @@ class ReceiverEndpoint:
     harness stop the receiver promptly once the sender is done for.
     """
 
+    role = "receiver"
+
     def __init__(
         self,
         clock: Callable[[], float],
@@ -684,56 +701,36 @@ class ReceiverEndpoint:
         stop_check: Optional[Callable[[], bool]] = None,
         ring: Optional[EventRing] = None,
     ) -> None:
-        self.clock = clock
-        self.deadline = float(deadline)
         forecaster = EWMAForecaster() if ewma else None
-        self.impairment = impairment
-        if watchdog is not None and watchdog <= 0:
-            raise ValueError(f"watchdog must be positive, got {watchdog}")
-        self.watchdog = watchdog
-        self.stop_check = stop_check
-        self.ring = ring if ring is not None else EventRing()
-        if impairment is not None and impairment.ring is None:
-            impairment.ring = self.ring
-        self.protocol = SproutReceiver(forecaster=forecaster, flow_id="sprout-live")
-        self.ctx = WallClockContext(clock, self._transmit_feedback, "live-receiver")
-        self.window = ReorderWindow(first_seq=0)
-        self.ticker = TickFromWallClock(self.protocol.tick_interval)
-        self.quarantine = PeerQuarantine()
-        self.sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+        super().__init__(
+            SproutReceiver(forecaster=forecaster, flow_id="sprout-live"),
+            self._transmit_feedback,
+            clock,
+            deadline,
+            impairment,
+            watchdog,
+            ring,
+        )
         self.sock.bind(bind)
-        self.sock.setblocking(False)
         self.port = self.sock.getsockname()[1]
-        self._peer: Optional[Tuple] = None
+        self.stop_check = stop_check
+        self.window = ReorderWindow(first_seq=0)
         self._feedback_seq = 0
         self._echo: Optional[Tuple[int, float, float]] = None  # seq, stamp, arrival
         self.delays: List[float] = []
         self.arrival_times: List[float] = []
         self.unique_data_bytes = 0
-        self.data_frames = 0
-        self.heartbeat_frames = 0
-        self.malformed_received = 0
-        self.feedback_frames_sent = 0
-        self.close_acks_sent = 0
-        self.first_arrival: Optional[float] = None
         self.last_arrival: Optional[float] = None
-        self.saw_fin = False
         self.closed = False
         self.stopped = False
-        self._last_heard = 0.0
         self._close_linger_until: Optional[float] = None
-
-    @property
-    def decode_errors(self) -> int:
-        """Datagrams that failed :func:`decode_frame` (alias for reports)."""
-        return self.malformed_received
 
     # ------------------------------------------------------------ feedback
 
     def _transmit_feedback(self, packet: Packet) -> None:
         """ctx.send callback: wrap a protocol feedback packet in a frame."""
         feedback = parse_feedback(packet)
-        if feedback is None or self._peer is None:
+        if feedback is None or self.peer is None:
             return
         now = self.ctx.now()
         echo_seq, echo_timestamp, echo_delay = 0, 0.0, 0.0
@@ -752,36 +749,12 @@ class ReceiverEndpoint:
             echo_delay=echo_delay,
         )
         self._feedback_seq = seq_add(self._feedback_seq)
-        if self._emit(encode_feedback(frame), now):
-            self.feedback_frames_sent += 1
-
-    def _emit(self, encoded: bytes, now: float) -> bool:
-        """Send one datagram to the peer through the impairment pipeline."""
-        if self._peer is None:
-            return False
-        outs = [encoded] if self.impairment is None else self.impairment.submit(encoded, now)
-        sent = False
-        for out in outs:
-            try:
-                self.sock.sendto(out, self._peer)
-                sent = True
-            except OSError:
-                continue  # the feedback channel is unreliable by design
-        return sent or bool(self.impairment)
-
-    def _pump_impairment(self, now: float) -> None:
-        if self.impairment is None or self._peer is None:
-            return
-        for out in self.impairment.pump(now):
-            try:
-                self.sock.sendto(out, self._peer)
-            except OSError:
-                continue
+        self._send(encode_feedback(frame), now)
 
     # ------------------------------------------------------------- receive
 
     def _handle_data(self, frame: DataFrame, addr: Tuple, now: float) -> None:
-        self._peer = addr
+        self.peer = addr
         # Echo the newest arrival whatever its novelty; the sender's Karn
         # check discards ambiguous (retransmitted) samples.
         self._echo = (frame.wire_seq, frame.timestamp, now)
@@ -789,16 +762,9 @@ class ReceiverEndpoint:
             return
         self.delays.append(now - frame.timestamp)
         self.arrival_times.append(now)
-        if self.first_arrival is None:
-            self.first_arrival = now
         self.last_arrival = now
-        if frame.heartbeat:
-            self.heartbeat_frames += 1
-        else:
-            self.data_frames += 1
+        if not frame.heartbeat:
             self.unique_data_bytes += frame.size
-        if frame.fin:
-            self.saw_fin = True
         packet = make_data_packet(
             size=max(frame.size, CONTROL_PACKET_BYTES),
             seq_bytes=frame.seq_bytes,
@@ -812,125 +778,72 @@ class ReceiverEndpoint:
         self.protocol.on_packet(packet, now)
 
     def _handle_close(self, frame: CloseFrame, addr: Tuple, now: float) -> None:
-        self._peer = addr
+        self.peer = addr
         if not self.closed:
             self.closed = True
             self.ring.record(now, "close_received", "")
             self._close_linger_until = now + CLOSE_LINGER
         # Re-ack every CLOSE, original or retransmitted: the ack may have
         # been lost and the sender is backoff-retransmitting against us.
-        if self._emit(encode_close_ack(CloseAckFrame(wire_seq=frame.wire_seq)), now):
-            self.close_acks_sent += 1
+        self._send(encode_close_ack(CloseAckFrame(wire_seq=frame.wire_seq)), now)
 
     # ------------------------------------------------------------ watchdog
 
-    def _diagnosis(self, reason: str, now: float, start: float) -> TransferDiagnosis:
-        return TransferDiagnosis(
-            reason=reason,
-            role="receiver",
-            elapsed_s=now - start,
-            last_heard_age_s=now - self._last_heard,
-            last_progress_age_s=now - (self.last_arrival if self.last_arrival else start),
-            datagrams_sent=self.feedback_frames_sent,
+    def _transfer_state(self, now: float) -> Dict[str, float]:
+        return dict(
+            last_progress_age_s=now - (self.last_arrival if self.last_arrival else self._started),
             feedback_received=self.window.unique_accepted,
-            decode_errors=self.malformed_received,
             total_retransmits=0,
             fast_retransmits=0,
             timeout_retransmits=0,
             rto_backoffs=0,
             outstanding=self.window.missing,
             outstanding_bytes=0,
-            ticks_skipped=self.ticker.ticks_skipped,
-            quarantined_peers=self.quarantine.quarantined_peers,
-            events=self.ring.tail(16),
         )
 
-    # ----------------------------------------------------------------- run
+    # ---------------------------------------------------------------- loop
 
-    def run(self) -> bool:
+    def _loop(self, give_up: float) -> bool:
         """Receive until the close handshake, a stop, an abort, or deadline.
 
         True iff the transfer ended with the CLOSE handshake.  ``watchdog``
         seconds of total peer silence raise :class:`TransferAborted` (with
         diagnosis) instead of idling to the deadline.
         """
-        start = self.clock()
-        give_up = start + self.deadline
-        self._last_heard = start
-        self.protocol.start(self.ctx)
-        self.ticker.start(start)
-        if self.impairment is not None:
-            self.impairment.start(start)
-        try:
-            while True:
-                now = self.clock()
-                if self.closed and (
-                    self._close_linger_until is None or now >= self._close_linger_until
-                ):
-                    break
-                if now >= give_up:
-                    if not self.closed:
-                        self.ring.record(now, "deadline_expired", "")
-                    break
-                if self.stop_check is not None and self.stop_check():
-                    self.stopped = True
-                    self.ring.record(now, "harness_stop", "")
-                    break
-                if (
-                    self.watchdog is not None
-                    and not self.closed
-                    and now - self._last_heard > self.watchdog
-                ):
-                    self.ring.record(now, "watchdog_abort", "peer inactivity")
-                    raise TransferAborted(self._diagnosis("peer-inactivity", now, start))
-                timeout = self._select_timeout(now)
-                readable, _, _ = select.select([self.sock], [], [], timeout)
-                now = self.clock()
-                if readable:
-                    for data, addr in _drain_datagrams(self.sock):
-                        frame = self._decode(data, addr, now)
-                        if frame is None:
-                            continue
-                        self._last_heard = now
-                        if isinstance(frame, DataFrame):
-                            self._handle_data(frame, addr, now)
-                        elif isinstance(frame, CloseFrame):
-                            self._handle_close(frame, addr, now)
+        while True:
+            now = self.clock()
+            if self.closed and (
+                self._close_linger_until is None or now >= self._close_linger_until
+            ):
+                break
+            if now >= give_up:
                 if not self.closed:
-                    for _ in range(self.ticker.due_ticks(now)):
-                        self.protocol.on_tick(now)
-                self._pump_impairment(now)
-        finally:
-            self.sock.close()
+                    self.ring.record(now, "deadline_expired", "")
+                break
+            if self.stop_check is not None and self.stop_check():
+                self.stopped = True
+                self.ring.record(now, "harness_stop", "")
+                break
+            if (
+                self.watchdog is not None
+                and not self.closed
+                and now - self._last_heard > self.watchdog
+            ):
+                self._abort(now, "peer-inactivity")
+            now, frames = self._wait(
+                now, self.ticker.next_deadline(), self._close_linger_until
+            )
+            for frame, addr in frames:
+                self._last_heard = now
+                if isinstance(frame, DataFrame):
+                    self._handle_data(frame, addr, now)
+                elif isinstance(frame, CloseFrame):
+                    self._handle_close(frame, addr, now)
+            if not self.closed:
+                for _ in range(self.ticker.due_ticks(now)):
+                    self.protocol.on_tick(now)
+            self._pump_impairment(now)
         return self.closed
-
-    def _decode(self, data: bytes, addr: Tuple, now: float):
-        """Decode one datagram with quarantine accounting; None if rejected."""
-        if self.quarantine.is_quarantined(addr):
-            return None
-        try:
-            frame = decode_frame(data)
-        except WireFormatError as error:
-            self.malformed_received += 1
-            self.ring.record(now, "decode_error", str(error))
-            if self.quarantine.note_malformed(addr):
-                self.ring.record(now, "quarantine", f"peer {addr!r}")
-            return None
-        self.quarantine.note_valid(addr)
-        return frame
-
-    def _select_timeout(self, now: float) -> float:
-        deadlines = [now + MAX_SELECT_WAIT]
-        tick = self.ticker.next_deadline()
-        if tick is not None:
-            deadlines.append(tick)
-        if self.impairment is not None:
-            held = self.impairment.next_deadline()
-            if held is not None:
-                deadlines.append(held)
-        if self._close_linger_until is not None:
-            deadlines.append(self._close_linger_until)
-        return max(0.0, min(deadlines) - now)
 
 
 def shared_monotonic_clock() -> Callable[[], float]:

@@ -5,8 +5,9 @@ transfer, repeated a configurable number of times, reporting throughput and
 per-packet delay percentiles.  Each repeat runs a
 :class:`~repro.transport.endpoint.ReceiverEndpoint` in a thread and a
 :class:`~repro.transport.endpoint.SenderEndpoint` in the caller's thread,
-both over 127.0.0.1 on a shared monotonic timebase, optionally under the
-deterministic datagram-loss gate.
+both over 127.0.0.1 on a shared monotonic timebase, each sending through
+its direction's seeded impairment pipeline when ``impair`` or ``loss_rate``
+asks for one.
 
 Results flow into the existing analysis stack unmodified: every repeat
 becomes a :class:`~repro.metrics.summary.SchemeResult` (scheme
@@ -37,11 +38,16 @@ from repro.transport.endpoint import (
     SenderEndpoint,
     TransferAborted,
     TransferDiagnosis,
-    bernoulli_loss_gate,
     default_watchdog,
     shared_monotonic_clock,
 )
-from repro.transport.impair import EventRing, TransportEvent, build_pipelines, parse_impair_spec
+from repro.transport.impair import (
+    EventRing,
+    ImpairmentPipeline,
+    TransportEvent,
+    build_pipelines,
+    parse_impair_spec,
+)
 
 #: identity under which live results enter the analysis stack
 LIVE_SCHEME = "Sprout (live)"
@@ -75,8 +81,9 @@ class LiveConfig:
 
     ``impair`` is an :func:`~repro.transport.impair.parse_impair_spec`
     string applied at the socket boundary in both directions (empty means
-    clean); ``impair_seed`` keys its deterministic fate draws (offset per
-    repeat).  ``watchdog`` is the peer-inactivity abort interval in
+    clean); ``loss_rate`` is shorthand for a ``loss:p=…,dir=up`` stage ahead
+    of it; ``impair_seed`` keys every stage's deterministic fate draws (offset
+    per repeat).  ``watchdog`` is the peer-inactivity abort interval in
     seconds — ``None`` picks :func:`default_watchdog` from the deadline,
     ``0`` disables the watchdog entirely (legacy wait-out-the-deadline
     behaviour).
@@ -85,7 +92,6 @@ class LiveConfig:
     transfer_bytes: int = 256 * 1024
     repeats: int = 3
     loss_rate: float = 0.0
-    loss_seed: int = 0
     deadline: float = 30.0
     ewma: bool = False
     impair: str = ""
@@ -212,33 +218,45 @@ class LiveTransferResult:
         )
 
 
+def _pipelines(
+    config: LiveConfig,
+    repeat: int,
+    up_ring: Optional[EventRing] = None,
+    down_ring: Optional[EventRing] = None,
+) -> Tuple[Optional[ImpairmentPipeline], Optional[ImpairmentPipeline]]:
+    """The (up, down) impairment pipelines of one repeat, ``None`` where clean.
+
+    ``loss_rate`` is the pipeline's own ``loss`` stage on the sender's side,
+    first in line, so there is one loss injector: seeded, counted, fate-logged
+    and replay-checked like every other stage.
+    """
+    spec = config.impair
+    if config.loss_rate > 0.0:
+        spec = f"loss:p={config.loss_rate},dir=up;{spec}"
+    return build_pipelines(
+        spec, seed=config.impair_seed + repeat, up_ring=up_ring, down_ring=down_ring
+    )
+
+
 def run_live_transfer(config: LiveConfig, repeat: int = 1) -> LiveTransferResult:
     """Run one sized loopback transfer and measure it.
 
     The receiver binds an ephemeral loopback port and runs in a daemon
     thread; the sender drives the transfer in the calling thread.  The
-    loss gate (when ``loss_rate > 0``) and the impairment pipelines (when
-    ``impair`` is set) are seeded per repeat so repeats see different —
+    impairment pipelines are seeded per repeat so repeats see different —
     but individually reproducible — adversarial patterns.
 
     Failure handling is structured, never a hang: a receiver-thread crash
     lands in an exception slot the sender's ``abort_check`` polls every
     loop, so the sender aborts within one select interval instead of
     waiting out its deadline; a watchdog abort is caught here and reported
-    through ``failure``/``diagnosis`` on the result.
+    through ``failure``/``diagnosis`` on the result.  Both sockets are
+    closed before this returns, however either endpoint's ``run`` ended.
     """
     clock = shared_monotonic_clock()
-    watchdog = config.resolved_watchdog()
     sender_ring = EventRing()
     receiver_ring = EventRing()
-    up = down = None
-    if config.impair:
-        up, down = build_pipelines(
-            config.impair,
-            seed=config.impair_seed + repeat,
-            up_ring=sender_ring,
-            down_ring=receiver_ring,
-        )
+    up, down = _pipelines(config, repeat, sender_ring, receiver_ring)
     stop = threading.Event()
     crash: Dict[str, BaseException] = {}
     receiver = ReceiverEndpoint(
@@ -259,22 +277,17 @@ def run_live_transfer(config: LiveConfig, repeat: int = 1) -> LiveTransferResult
     thread = threading.Thread(
         target=_receiver_main, name=f"sprout-live-receiver-{repeat}", daemon=True
     )
-    thread.start()
-    gate = None
-    if config.loss_rate > 0.0:
-        gate = bernoulli_loss_gate(config.loss_rate, seed=config.loss_seed + repeat)
     sender = SenderEndpoint(
         ("127.0.0.1", receiver.port),
         config.transfer_bytes,
         clock,
-        loss_gate=gate,
         deadline=config.deadline,
-        ewma=config.ewma,
         impairment=up,
-        watchdog=watchdog,
+        watchdog=config.resolved_watchdog(),
         abort_check=lambda: crash.get("error"),
         ring=sender_ring,
     )
+    thread.start()
     failure = ""
     diagnosis: Optional[TransferDiagnosis] = None
     try:
@@ -285,7 +298,11 @@ def run_live_transfer(config: LiveConfig, repeat: int = 1) -> LiveTransferResult
         diagnosis = aborted.diagnosis
     finally:
         stop.set()
-    thread.join(5.0)
+        thread.join(5.0)
+        # Each run() closes its own socket; a receiver thread that died
+        # outside run() (or never reached it) leaves that to us.
+        sender.close()
+        receiver.close()
     if not failure and "error" in crash:
         failure = "receiver-failure"
 
@@ -320,7 +337,9 @@ def run_live_transfer(config: LiveConfig, repeat: int = 1) -> LiveTransferResult
         total_retransmits=sender.buffer.total_retransmits,
         fast_retransmits=sender.buffer.fast_retransmits,
         timeout_retransmits=sender.buffer.timeout_retransmits,
-        injected_drops=sender.injected_drops,
+        injected_drops=sum(
+            count for action, count in impair_counters.items() if action.startswith("up_drop:")
+        ),
         duplicates=receiver.window.duplicates,
         reordered=receiver.window.reordered,
         lost_forever=sender.lost_forever,

@@ -8,6 +8,9 @@ that inspects them.
 
 from __future__ import annotations
 
+import os
+import threading
+
 import pytest
 
 from repro.core.rate_model import RateModel, model_cache_directory, shared_rate_model
@@ -27,6 +30,44 @@ def _isolated_model_cache(tmp_path_factory):
     """
     with model_cache_directory(str(tmp_path_factory.mktemp("model-cache"))):
         yield
+
+
+def _open_sockets():
+    """Socket descriptors this process holds (``bench/child.py`` idiom).
+
+    ``None`` where ``/proc/self/fd`` does not exist.
+    """
+    try:
+        names = os.listdir("/proc/self/fd")
+    except OSError:
+        return None
+    count = 0
+    for name in names:
+        try:
+            count += os.readlink(f"/proc/self/fd/{name}").startswith("socket:")
+        except OSError:
+            pass  # the listing's own descriptor is gone by now
+    return count
+
+
+@pytest.fixture(autouse=True)
+def _no_transport_leaks(request):
+    """A live test leaves no receiver thread and no open socket behind.
+
+    The check ``bench/child.py:leaks`` makes once per benchmark run, made
+    per ``transport``/``chaos`` test: it guards the endpoints' one shared
+    close on the crash, abort and blackhole paths too.
+    """
+    if not any(request.node.get_closest_marker(name) for name in ("transport", "chaos")):
+        yield
+        return
+    sockets_before = _open_sockets()
+    yield
+    stray = [t.name for t in threading.enumerate() if t.name.startswith("sprout-live-receiver-")]
+    assert not stray, f"receiver thread(s) left running: {stray}"
+    if sockets_before is not None:
+        leaked = _open_sockets() - sockets_before
+        assert leaked <= 0, f"{leaked} socket(s) left open"
 
 
 @pytest.fixture(scope="session")

@@ -338,6 +338,7 @@ def test_live_rejects_bad_knobs(capsys):
         ["live", "--loss", "1.5"],
         ["live", "--loss", "-0.1"],
         ["live", "--loss", "nope"],
+        ["live", "--loss-seed", "3"],  # --loss is seeded by --impair-seed
         ["live", "--bytes", "0"],
         ["live", "--bytes", "-5"],
         ["live", "--repeats", "0"],

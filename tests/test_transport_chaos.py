@@ -85,6 +85,22 @@ def test_chaos_profile_completes_or_aborts_cleanly(profile):
     assert result.closed
 
 
+def test_chaos_ge_drops_reach_the_drops_column_and_export():
+    # the benchmark's `live` stage kind, dense enough to bite inside 64 KiB:
+    # the `drops` column is the sender-side pipeline's drops, whatever stage
+    # made them, not only `--loss`'s
+    result = _run("ge:p=0.2,burst=4")
+    assert result.completed
+    up_drops = sum(
+        count
+        for action, count in result.impair_counters.items()
+        if action.startswith("up_drop:")
+    )
+    assert result.injected_drops == up_drops > 0
+    extra = result.to_scheme_result().extra
+    assert extra["live_injected_drops"] == float(result.injected_drops)
+
+
 def test_chaos_blackout_is_visible_in_metrics():
     result = _run(PROFILES["blackout_mid_transfer"])
     assert result.completed

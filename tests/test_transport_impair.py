@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.transport.harness import LiveConfig, _pipelines
 from repro.transport.impair import (
     EVENT_RING_LIMIT,
     EventRing,
@@ -141,6 +142,30 @@ def test_replay_determinism_check_passes_and_catches_tampering():
     assert pipeline.replay_determinism_check()
     pipeline.counters["drop:ge"] += 1  # simulated corruption of the record
     assert not pipeline.replay_determinism_check()
+
+
+# ------------------------------------------- LiveConfig's one loss injector
+
+
+def test_live_loss_rate_is_the_sender_side_loss_stage():
+    up, down = _pipelines(LiveConfig(loss_rate=0.1, impair_seed=5), repeat=2)
+    reference, _ = build_pipelines("loss:p=0.1,dir=up", seed=5 + 2)
+    assert down is None  # sender-side only: feedback is untouched
+    assert _drive(up, count=2000) == _drive(reference, count=2000)
+    assert up.fates == reference.fates
+    assert up.counters["drop:loss"] > 0
+    assert dict(up.counters) == dict(reference.counters)
+
+
+def test_live_loss_stage_comes_before_the_impair_spec():
+    up, down = _pipelines(LiveConfig(loss_rate=0.1, impair="ge:p=0.02"), repeat=1)
+    assert [stage.kind for stage in up.spec] == ["loss", "ge"]
+    assert [stage.kind for stage in down.spec] == ["ge"]  # ge still both ways
+
+
+def test_live_clean_config_builds_no_pipeline():
+    # the no-pipeline fast path `transport.clean_goodput_mbps` measures
+    assert _pipelines(LiveConfig(), repeat=1) == (None, None)
 
 
 # ----------------------------------------------------------- stage behavior

@@ -2,11 +2,12 @@
 
 These tests move real UDP datagrams over 127.0.0.1 (marker ``transport``,
 ``make test-live``) and are skipped wholesale where the environment forbids
-loopback sockets.  The loss tests reuse the deterministic Bernoulli-gate
-idiom of :mod:`repro.testing.faults`: the drop decision hashes
-``(seed, wire_seq, attempt)``, so a retransmitted datagram rolls a fresh
-coin and the acceptance property — a sized transfer completes with zero
-packets lost forever under 10% injected datagram loss — is reproducible.
+loopback sockets.  ``loss_rate`` is the impairment pipeline's seeded ``loss``
+stage on the sender's side (``tests/test_transport_impair.py`` pins that
+mapping and the stage's determinism socket-free): a retransmission is the
+stage's next submission, so it draws a fresh coin, and the acceptance
+property — a sized transfer completes with zero packets lost forever under
+10% injected datagram loss — is reproducible.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from repro.experiments.exports import (
     parse_json,
 )
 from repro.transport import LiveConfig, run_live_suite, run_live_transfer, sockets_available
-from repro.transport.endpoint import bernoulli_loss_gate
 from repro.transport.harness import (
     LIVE_LINK,
     LIVE_SCHEME,
@@ -63,33 +63,18 @@ def test_clean_loopback_transfer_completes():
 def test_lossy_loopback_transfer_loses_nothing_forever():
     """ISSUE acceptance: 10% injected datagram loss, zero packets lost forever."""
     result = run_live_transfer(
-        LiveConfig(transfer_bytes=TRANSFER_BYTES, repeats=1, loss_rate=0.1, loss_seed=7),
+        LiveConfig(transfer_bytes=TRANSFER_BYTES, repeats=1, loss_rate=0.1, impair_seed=7),
         repeat=1,
     )
     assert result.completed
     assert result.lost_forever == 0
-    assert result.injected_drops > 0  # the gate actually bit
-    # Every injected drop was healed by a retransmission.
-    assert result.total_retransmits >= result.injected_drops
+    assert result.injected_drops > 0  # the loss stage actually bit
+    assert result.injected_drops == result.impair_counters["up_drop:loss"]
+    assert result.impair_replay_ok is True
+    # Every injected drop was healed by a retransmission (CLOSE is not
+    # exempt from the stage; its retransmissions are counted apart).
+    assert result.total_retransmits + result.close_retransmits >= result.injected_drops
     assert result.malformed == 0
-
-
-def test_loss_gate_is_deterministic_and_attempt_sensitive():
-    gate = bernoulli_loss_gate(0.5, seed=3)
-    first = [gate(seq, 0) for seq in range(200)]
-    assert first == [gate(seq, 0) for seq in range(200)]  # reproducible
-    assert any(first)  # drops some
-    assert not all(first)  # passes some
-    # A retransmit (attempt 1) rolls a fresh coin, so a dropped wire seq
-    # is not doomed to be dropped forever.
-    assert first != [gate(seq, 1) for seq in range(200)]
-
-
-def test_loss_gate_rejects_bad_probability():
-    with pytest.raises(ValueError):
-        bernoulli_loss_gate(1.0)
-    with pytest.raises(ValueError):
-        bernoulli_loss_gate(-0.1)
 
 
 # ------------------------------------------------------- harness packaging
