@@ -4,7 +4,7 @@
 PYTHON ?= python
 export PYTHONPATH := src:$(PYTHONPATH)
 
-.PHONY: test test-fast smoke test-fault test-oracle test-live test-chaos cov bench bench-batched bench-analytic bench-e2e bench-workload bench-pair docs-check loc
+.PHONY: test test-fast smoke test-fault test-oracle test-live test-chaos cov bench bench-batched bench-analytic bench-e2e bench-workload bench-pair pairs docs-check loc
 
 ## full suite, including perf benchmarks (the tier-1 gate)
 test:
@@ -67,6 +67,12 @@ bench-workload:
 ## two bench-e2e documents against the bounds: make bench-pair A=parent.json B=change.json
 bench-pair:
 	$(PYTHON) -m bench.compare $(A) $(B)
+
+## alternating parent/change runs of one workload with the gain verdict
+## (scripts/pairs.py): make pairs PARENT=../parent W=sprout_grid SEED=7 N=10
+N ?= 10
+pairs:
+	$(PYTHON) scripts/pairs.py --parent $(PARENT) --workload $(W) --seed $(SEED) --pairs $(N)
 
 ## docs gate: validate markdown cross-links, smoke-run examples/*.py
 docs-check:

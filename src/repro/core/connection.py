@@ -35,7 +35,8 @@ class SproutConfig:
     use_ewma: bool = False
     ewma_alpha: float = 0.125
     model_params: Optional[RateModelParams] = None
-    #: record the receiver's per-tick rate estimate (costs memory on long runs)
+    #: record the receiver's per-tick rate estimate and the sender's windows
+    #: (costs memory on long runs)
     record_history: bool = False
 
     def __post_init__(self) -> None:
@@ -89,6 +90,7 @@ def make_connection(
         bootstrap_packets_per_tick=cfg.bootstrap_packets_per_tick,
         payload_provider=payload_provider,
         flow_id=flow_id,
+        record_history=cfg.record_history,
     )
     return SproutConnection(sender=sender, receiver=receiver, config=cfg)
 

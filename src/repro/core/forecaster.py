@@ -169,8 +169,10 @@ class BayesianForecaster(Forecaster):
 
     def forecast(self) -> np.ndarray:
         if self._belief_dirty or self._cached_forecast_bytes is None:
-            packets = self.model.cumulative_quantile(self.belief, self.percentile)
-            self._cached_forecast_bytes = packets * self.mtu_bytes
+            # The kernel returns a fresh array: scale packets to bytes in place.
+            forecast = self.model.cumulative_quantile(self.belief, self.percentile)
+            forecast *= self.mtu_bytes
+            self._cached_forecast_bytes = forecast
             self._belief_dirty = False
         return self._cached_forecast_bytes.copy()
 

@@ -122,13 +122,12 @@ class RateModelParams:
 FORECAST_SEED = 20130419
 
 #: bump when the precomputation changes so stale disk entries are orphaned
-MODEL_CACHE_FORMAT_VERSION = 1
+MODEL_CACHE_FORMAT_VERSION = 2
 
 #: the arrays one cached model artifact carries, in storage order
 _ARTIFACT_FIELDS = (
     "transition",
     "cumulative_cdfs",
-    "cdf_matrix",
     "cdf_cols",
     "cdf_coarse",
 )
@@ -138,7 +137,7 @@ _QUANTILE_STRIDE = 16
 
 
 #: in-process artifact entries kept by default.  One paper-size artifact is
-#: 5.6 MB of frozen arrays (float32 tensor + companions; 9.6 MB at a 40 ms
+#: 3.9 MB of frozen arrays (float32 tensor + companions; 6.6 MB at a 40 ms
 #: tick), far heavier than a trace-cache entry, so the bound is tighter than
 #: the trace cache's 64 — wide enough for any realistic sweep's distinct
 #: parameter sets, small enough that a pathological grid cannot pin gigabytes.
@@ -301,9 +300,6 @@ class RateModel:
             artifact = self._build_artifact()
         self.transition = artifact["transition"]
         self.cumulative_cdfs = artifact["cumulative_cdfs"]
-        # Flattened (bins, ticks * counts) view of the CDF tensor, contiguous
-        # so the forecast mixture for all horizons is one sgemv.
-        self._cdf_matrix = artifact["cdf_matrix"]
         # Column-major companion tensor (ticks, counts, bins): each count
         # column is a contiguous vector, so the quantile refinement can mix
         # a handful of columns without touching the rest of the tensor.
@@ -312,9 +308,18 @@ class RateModel:
         # the quantile before the fine window is mixed.  Keeping the working
         # set this small is what makes the per-tick forecast cache-resident.
         self._cdf_coarse = artifact["cdf_coarse"]
-        self._quantile_stride = _QUANTILE_STRIDE
-        grid = self._max_count + 1
-        self._coarse_cols = int(math.ceil(grid / self._quantile_stride))
+        self._quantile_stride = stride = _QUANTILE_STRIDE
+        self._coarse_cols = int(math.ceil((self._max_count + 1) / stride))
+        # What the per-tick kernel indexes instead of recomputing: one
+        # (counts, bins) view per horizon, and per coarse bracket ``k`` the
+        # half-open run of fine columns ``(k-1)*stride+1 .. k*stride`` the
+        # crossing can lie in (column 0 alone for ``k = 0``; the top run
+        # stops at ``_max_count``).
+        self._cdf_col_blocks = list(self._cdf_cols)
+        self._quantile_windows = [
+            (max(0, (k - 1) * stride + 1), min(k * stride, self._max_count) + 1)
+            for k in range(self._coarse_cols + 1)
+        ]
         positive = self.packets_per_tick > 0
         self._positive_bins = positive
         self._mu_positive = self.packets_per_tick[positive]
@@ -336,20 +341,15 @@ class RateModel:
         p = self.params
         transition = self._build_transition_matrix()
         cumulative_cdfs = self._build_cumulative_cdfs()
-        cdf_matrix = np.ascontiguousarray(
-            cumulative_cdfs.transpose(1, 0, 2).reshape(p.num_bins, -1)
-        )
         cdf_cols = np.ascontiguousarray(cumulative_cdfs.transpose(0, 2, 1))
-        grid = self._max_count + 1
         cdf_coarse = np.ascontiguousarray(
-            cdf_matrix.reshape(p.num_bins, p.forecast_ticks, grid)[
-                :, :, ::_QUANTILE_STRIDE
-            ].reshape(p.num_bins, -1)
+            cumulative_cdfs[:, :, ::_QUANTILE_STRIDE]
+            .transpose(1, 0, 2)
+            .reshape(p.num_bins, -1)
         )
         arrays = {
             "transition": transition,
             "cumulative_cdfs": cumulative_cdfs,
-            "cdf_matrix": cdf_matrix,
             "cdf_cols": cdf_cols,
             "cdf_coarse": cdf_coarse,
         }
@@ -438,7 +438,7 @@ class RateModel:
         # The tensor is stored float32 and C-contiguous: the forecast only
         # ever compares mixtures of these Monte-Carlo CDFs (resolution
         # 1/paths) against a quantile, so single precision is ample, and the
-        # halved footprint keeps the fused mixture kernel in cache.
+        # halved footprint keeps the forecast mixture kernel in cache.
         cdfs = np.empty((p.forecast_ticks, p.num_bins, grid_size), dtype=np.float32)
         row_offsets = np.arange(p.num_bins, dtype=np.int64)[:, None] * grid_size
 
@@ -651,54 +651,43 @@ class RateModel:
         """
         ticks = self._validate_quantile_args(percentile, num_ticks)
         # Two-stage quantile extraction.  Stage 1 mixes every `stride`-th
-        # count column of all horizons in one small sgemv and brackets the
-        # crossing; stage 2 mixes only the bracketed window of columns per
-        # horizon.  Exact-arithmetic equivalent to mixing the full tensor
-        # (:meth:`_cumulative_quantile_fused`; the test suite holds the two
+        # count column of all horizons in one small sgemv and brackets each
+        # horizon's crossing (counting the values below the percentile
+        # equals ``searchsorted(..., "left")`` on a non-decreasing row);
+        # stage 2 mixes only the bracketed run of columns per horizon.
+        # Exact-arithmetic equivalent to mixing the full tensor
+        # (:meth:`_cumulative_quantile_loop`; the test suite holds the two
         # to equal outputs — a disagreement would need a mixture value
         # within one float32 rounding step of the percentile), but streams
-        # ~250 KB instead of ~1.6 MB per call, which keeps the per-tick
-        # forecast resident in cache alongside the belief update.
+        # ~250 KB instead of ~1.6 MB per call.
+        #
+        # Those nine products are all the arithmetic; everything around
+        # them is plain Python on purpose (numpy dispatch on eight elements
+        # cost more than the products did).  Do not stack or re-block them:
+        # BLAS would sum in another order, and a one-ulp tie against the
+        # percentile moves a forecast by a packet (docs/performance.md,
+        # "Layer 1").
         b32 = belief.astype(np.float32, copy=False)
         key = np.float32(percentile)
-        stride = self._quantile_stride
         coarse = (b32 @ self._cdf_coarse).reshape(
             self.params.forecast_ticks, self._coarse_cols
         )
-        forecast = np.empty(ticks)
-        for j in range(ticks):
-            k = int(np.searchsorted(coarse[j], key, side="left"))
-            lo = max(0, (k - 1) * stride + 1)
-            hi = min(k * stride, self._max_count) if k > 0 else 0
-            window = self._cdf_cols[j, lo : hi + 1] @ b32
-            forecast[j] = lo + np.searchsorted(window, key, side="left")
-        np.minimum(forecast, self._max_count, out=forecast)
-        # Enforce monotonicity against Monte-Carlo quantile jitter.
-        np.maximum.accumulate(forecast, out=forecast)
-        return forecast
-
-    def _cumulative_quantile_fused(
-        self, belief: np.ndarray, percentile: float, num_ticks: Optional[int] = None
-    ) -> np.ndarray:
-        """Single-tensordot form of :meth:`cumulative_quantile`.
-
-        Mixes the whole CDF tensor for every horizon in one matvec
-        (``tensordot(belief, cumulative_cdfs)`` over the bin axis) and reads
-        one quantile per horizon.  :meth:`cumulative_quantile` is this plus
-        column windowing; the test suite holds the two (and the per-horizon
-        loop) to identical outputs.
-        """
-        ticks = self._validate_quantile_args(percentile, num_ticks)
-        mixture = (
-            belief.astype(np.float32, copy=False) @ self._cdf_matrix
-        ).reshape(self.params.forecast_ticks, -1)
-        key = np.float32(percentile)
-        forecast = np.empty(ticks)
-        for j in range(ticks):
-            forecast[j] = np.searchsorted(mixture[j], key, side="left")
-        np.minimum(forecast, self._max_count, out=forecast)
-        np.maximum.accumulate(forecast, out=forecast)
-        return forecast
+        brackets = (coarse < key).sum(axis=1).tolist()
+        windows = self._quantile_windows
+        max_count = self._max_count
+        forecast = []
+        # The running maximum enforces monotonicity against Monte-Carlo
+        # quantile jitter.
+        highest = 0
+        for cols, k in zip(self._cdf_col_blocks[:ticks], brackets):
+            lo, stop = windows[k]
+            count = lo + int((cols[lo:stop] @ b32).searchsorted(key))
+            if count > max_count:
+                count = max_count
+            if count > highest:
+                highest = count
+            forecast.append(highest)
+        return np.array(forecast, dtype=float)
 
     def _cumulative_quantile_loop(
         self, belief: np.ndarray, percentile: float, num_ticks: Optional[int] = None
@@ -706,8 +695,8 @@ class RateModel:
         """Reference per-horizon implementation of :meth:`cumulative_quantile`.
 
         Kept (and exercised by the test suite) as the readable specification
-        of the fused kernel: one ``belief @ cumulative_cdfs[j]`` mixture and
-        one ``searchsorted`` per horizon.
+        of the production kernel: one ``belief @ cumulative_cdfs[j]`` mixture
+        and one ``searchsorted`` per horizon.
         """
         ticks = self._validate_quantile_args(percentile, num_ticks)
         belief32 = belief.astype(np.float32, copy=False)
@@ -820,12 +809,10 @@ class RateModel:
         for j in range(ticks):
             for k in np.unique(brackets[:, j]):
                 sel = np.flatnonzero(brackets[:, j] == k)
-                k = int(k)
-                l = max(0, (k - 1) * stride + 1)
-                h = min(k * stride, self._max_count) if k > 0 else 0
-                block = self._cdf_cols[j, l : h + 1]
+                l, stop = self._quantile_windows[int(k)]
+                block = self._cdf_cols[j, l:stop]
                 mixed = np.matmul(block, b32[sel][:, :, None])
-                windows[sel, j, : h - l + 1] = mixed[:, :, 0]
+                windows[sel, j, : stop - l] = mixed[:, :, 0]
         forecast = (lo + (windows < keys[:, None, None]).sum(axis=2)).astype(float)
         np.minimum(forecast, self._max_count, out=forecast)
         np.maximum.accumulate(forecast, axis=1, out=forecast)

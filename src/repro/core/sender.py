@@ -69,6 +69,10 @@ class SproutSender(Protocol):
             as SproutTunnel) that supply fully-formed packets to carry; takes
             precedence over ``payload_provider`` when set.
         flow_id: label attached to data packets.
+        record_history: when True, append ``(time, window_bytes)`` to
+            :attr:`window_history` at every window computation, for
+            diagnostics.  Off by default, like the receiver's switch: two
+            tuples per tick otherwise accumulate for the sender's lifetime.
     """
 
     def __init__(
@@ -80,6 +84,7 @@ class SproutSender(Protocol):
         payload_provider: Optional[PayloadProvider] = None,
         packet_source: Optional[PacketSource] = None,
         flow_id: str = "sprout",
+        record_history: bool = False,
     ) -> None:
         if lookahead_ticks < 1:
             raise ValueError("lookahead_ticks must be at least 1")
@@ -106,6 +111,7 @@ class SproutSender(Protocol):
         self._last_send_time = 0.0
         # (send_time, cumulative_bytes_after_packet) for the throwaway number.
         self._send_history: Deque[Tuple[float, int]] = deque()
+        self._latest_throwaway = 0
 
         # Forecast state.
         self._forecast: Optional[Tuple[float, ...]] = None
@@ -114,7 +120,9 @@ class SproutSender(Protocol):
         self._ticks_drained = 0
         self._queue_estimate = 0.0
         self.forecasts_received = 0
-        #: history of (time, window_bytes) used by diagnostics/examples
+        self.record_history = record_history
+        #: history of (time, window_bytes); only populated when
+        #: ``record_history`` is True
         self.window_history: List[Tuple[float, float]] = []
 
     # ------------------------------------------------------------- lifecycle
@@ -205,7 +213,8 @@ class SproutSender(Protocol):
 
     def _transmit_window(self, now: float) -> None:
         window = self._window_bytes(now)
-        self.window_history.append((now, float(window)))
+        if self.record_history:
+            self.window_history.append((now, float(window)))
         if self.packet_source is not None:
             if window <= 0:
                 return
@@ -237,7 +246,7 @@ class SproutSender(Protocol):
             throwaway = self._send_history.popleft()[1]
         if throwaway:
             self._latest_throwaway = throwaway
-        return getattr(self, "_latest_throwaway", 0)
+        return self._latest_throwaway
 
     def _send_packets(self, packets: List[Packet], now: float) -> None:
         """Send caller-supplied packets, stamping Sprout control headers."""

@@ -37,6 +37,15 @@ def test_sender_and_receiver_share_tick_interval():
     assert connection.receiver.tick_interval == pytest.approx(0.02)
 
 
+def test_record_history_reaches_both_ends_and_defaults_off():
+    default = make_connection()
+    assert not default.sender.record_history
+    assert not default.receiver.record_history
+    recording = make_connection(SproutConfig(record_history=True))
+    assert recording.sender.record_history
+    assert recording.receiver.record_history
+
+
 def test_sprout_transfers_data_over_steady_link(steady_trace):
     connection = make_sprout()
     feedback_trace = [i * 0.005 for i in range(1, 4000)]

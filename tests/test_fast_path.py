@@ -2,14 +2,17 @@
 
 Covers the three equivalences the optimisation relies on:
 
-* the fused (single-matvec) and windowed forecast quantiles match the
-  per-horizon reference loop exactly;
+* the production (bracket + window) forecast quantile matches the
+  per-horizon reference loop exactly, and reproduces byte for byte the
+  forecasts recorded at the commit before its dispatch-floor rewrite;
 * cached likelihood vectors are bit-identical to uncached computation,
   including the outage bin's special cases;
 * the lazy forecast cache only recomputes when the belief changed.
 """
 
 from __future__ import annotations
+
+import hashlib
 
 import numpy as np
 import pytest
@@ -38,15 +41,20 @@ def _concentrated_beliefs(num_bins: int, count: int, seed: int = 7):
         yield belief / belief.sum()
 
 
+def _point_mass(num_bins: int, index: int) -> np.ndarray:
+    belief = np.zeros(num_bins)
+    belief[index] = 1.0
+    return belief
+
+
+@pytest.fixture(scope="module")
+def slow_tick_model() -> RateModel:
+    """A 40 ms-tick model: another ``_max_count`` and coarse width."""
+    return RateModel(RateModelParams(tick=0.040))
+
+
 class TestForecastEquivalence:
     @pytest.mark.parametrize("percentile", [0.05, 0.25, 0.5, 0.95])
-    def test_fused_matches_loop_on_random_beliefs(self, rate_model, percentile):
-        for belief in _random_beliefs(rate_model.params.num_bins, 50):
-            loop = rate_model._cumulative_quantile_loop(belief, percentile)
-            fused = rate_model._cumulative_quantile_fused(belief, percentile)
-            np.testing.assert_allclose(fused, loop, atol=1e-12)
-
-    @pytest.mark.parametrize("percentile", [0.05, 0.5, 0.95])
     def test_default_path_matches_loop(self, rate_model, percentile):
         beliefs = list(_random_beliefs(rate_model.params.num_bins, 50))
         beliefs += list(_concentrated_beliefs(rate_model.params.num_bins, 50))
@@ -70,6 +78,104 @@ class TestForecastEquivalence:
             loop = model._cumulative_quantile_loop(belief, 0.05)
             fast = model.cumulative_quantile(belief, 0.05)
             np.testing.assert_allclose(fast, loop, atol=1e-12)
+
+
+    @pytest.mark.parametrize("model_name", ["rate_model", "slow_tick_model"])
+    def test_edge_beliefs_match_loop_exactly(self, request, model_name):
+        """The cases random draws rarely reach: bracket 0, the short top
+        window, extreme percentiles — at every partial horizon."""
+        model = request.getfixturevalue(model_name)
+        bins = model.params.num_bins
+        beliefs = [
+            _point_mass(bins, 0),
+            _point_mass(bins, bins - 1),
+            model.uniform_prior(),
+        ]
+        for belief in beliefs:
+            for percentile in (0.001, 0.05, 0.5, 0.999):
+                for ticks in range(1, model.params.forecast_ticks + 1):
+                    loop = model._cumulative_quantile_loop(belief, percentile, ticks)
+                    fast = model.cumulative_quantile(belief, percentile, ticks)
+                    assert np.array_equal(fast, loop), (percentile, ticks)
+        # The edge beliefs really sit in the edge brackets.
+        assert model.cumulative_quantile(beliefs[0], 0.5)[-1] == 0
+        top = model.cumulative_quantile(beliefs[1], 0.999)[-1]
+        assert top > model._quantile_windows[-2][0]
+
+    @pytest.mark.parametrize("ticks", [1, 5, 8])
+    def test_result_is_a_fresh_writable_float64_array(self, rate_model, ticks):
+        belief = rate_model.uniform_prior()
+        first = rate_model.cumulative_quantile(belief, 0.05, num_ticks=ticks)
+        assert first.dtype == np.float64 and first.shape == (ticks,)
+        assert first.flags.writeable and first.flags.owndata
+        first *= 1500  # callers scale it in place
+        again = rate_model.cumulative_quantile(belief, 0.05, num_ticks=ticks)
+        assert np.array_equal(again * 1500, first)
+
+    @pytest.mark.parametrize("model_name", ["rate_model", "slow_tick_model"])
+    def test_window_table_equals_the_bracket_formula(self, request, model_name):
+        """Window ``k`` is the run of fine columns between coarse columns
+        ``k - 1`` and ``k``: the exact row-slices of ``_cdf_cols[j]`` the
+        kernel has always mixed, for every bracket the count can return."""
+        model = request.getfixturevalue(model_name)
+        stride, max_count = model._quantile_stride, model._max_count
+        assert model._coarse_cols == -(-(max_count + 1) // stride)
+        assert len(model._quantile_windows) == model._coarse_cols + 1
+        for k, (lo, stop) in enumerate(model._quantile_windows):
+            assert lo == max(0, (k - 1) * stride + 1)
+            hi = min(k * stride, max_count) if k > 0 else 0
+            assert stop == hi + 1
+        assert len(model._cdf_col_blocks) == model.params.forecast_ticks
+        for j, block in enumerate(model._cdf_col_blocks):
+            assert np.shares_memory(block, model._cdf_cols[j])
+            assert block.shape == (max_count + 1, model.params.num_bins)
+
+
+#: sha256 of 2 000 concatenated ``forecast()`` results per confidence,
+#: recorded at the parent of the dispatch-floor rewrite (commit b2d1f93)
+#: before any source line changed.  A PR that knowingly changes the CDF
+#: tables re-records them; nothing else may move them.
+PARENT_FORECAST_DIGESTS = {
+    0.95: "e4187b0b07994068afe31fe3e17fb0a81e5a4b7cd6491643f54db3c6f7b5329a",
+    0.75: "f6394b34d9f386929bceffe0575cc8c46ab889eeffe0145f83f1f4cd831755e3",
+    0.5: "9b1ef1b4e4569b4543e5221b8b76cf93216d7b90dc7ecc3c930bfb6b3f04d684",
+    0.25: "187626bad424aca867747471cc999e8e21244baa8ec4a99a324316f4025f1aff",
+    0.05: "384dbe77db2a1b2d0674d4d5e006e9ee47b8affe983c24448adf54d0d556f371",
+}
+
+
+@pytest.mark.parametrize("confidence", sorted(PARENT_FORECAST_DIGESTS))
+def test_forecasts_reproduce_the_parent_commit(rate_model, confidence):
+    """Binds the kernel to the parent's output, not to its siblings here.
+
+    One forecaster, 2 000 seeded ticks of a wandering rate with outages:
+    exact, censored, skipped and annihilating observations mixed, the
+    forecast read after every tick (it spans 0 to ~170 packets, so every
+    coarse bracket in use is crossed).
+    """
+    mtu = rate_model.params.mtu_bytes
+    rng = np.random.default_rng(22)
+    forecaster = BayesianForecaster(confidence, model=rate_model)
+    digest = hashlib.sha256()
+    rate = 5.0
+    for _ in range(2000):
+        rate = min(max(rate + rng.normal(0.0, 1.5), 0.0), 22.0)
+        if rng.random() < 0.01:
+            rate = 0.0
+        whole = int(rng.poisson(rate)) * mtu
+        partial = int(rng.integers(0, 2)) * int(rng.integers(0, mtu))
+        arrived = float(whole + partial)
+        draw = rng.random()
+        if draw < 0.10:
+            forecaster.tick(None)
+        elif draw < 0.30:
+            forecaster.tick(arrived, at_least=True)
+        elif draw < 0.32:
+            forecaster.tick(1e7)  # annihilates every bin: evolved prior kept
+        else:
+            forecaster.tick(arrived)
+        digest.update(forecaster.forecast().tobytes())
+    assert digest.hexdigest() == PARENT_FORECAST_DIGESTS[confidence]
 
 
 class TestLikelihoodCache:

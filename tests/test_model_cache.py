@@ -36,7 +36,7 @@ SMALL = RateModelParams(num_bins=16, max_rate=200.0, sigma=120.0, forecast_ticks
 PATHS = 150
 
 #: the arrays (by RateModel attribute) one artifact must restore exactly
-ARRAY_ATTRS = ("transition", "cumulative_cdfs", "_cdf_matrix", "_cdf_cols", "_cdf_coarse")
+ARRAY_ATTRS = ("transition", "cumulative_cdfs", "_cdf_cols", "_cdf_coarse")
 
 
 @pytest.fixture
@@ -211,6 +211,21 @@ def test_artifact_with_missing_arrays_is_rejected(scoped_cache, tmp_path):
     model = RateModel(SMALL, PATHS)  # rejected -> rebuilt, not a 2x2 matrix
     assert model.transition.shape == (16, 16)
     assert scoped_cache.stats.misses == 2
+
+
+def test_v1_shaped_artifact_under_a_v2_key_is_rebuilt(scoped_cache, tmp_path):
+    """A superset of the fields is as foreign as a subset: format 1 stored
+    one more layout of the tensor, and such a file must not load."""
+    built = RateModel(SMALL, PATHS)
+    (path,) = [p for p in tmp_path.iterdir() if p.suffix == ".npz"]
+    v1 = {name.lstrip("_"): getattr(built, name) for name in ARRAY_ATTRS}
+    v1["flat_cdfs"] = np.zeros((SMALL.num_bins, 4), dtype=np.float32)
+    np.savez(path, **v1)
+    scoped_cache.clear()
+    _assert_models_bit_identical(RateModel(SMALL, PATHS), built)
+    assert scoped_cache.stats.misses == 2  # treated as corrupt, rebuilt
+    with np.load(path) as healed:
+        assert "flat_cdfs" not in healed.files
 
 
 def test_disabled_cache_writes_nothing(scoped_cache, tmp_path):

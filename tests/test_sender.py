@@ -188,11 +188,26 @@ def test_packet_source_overrun_rejected():
         sender.on_packet(_feedback([10, 20, 30, 40, 50, 60, 70, 80], time=0.1), ctx.time)
 
 
-def test_window_history_recorded():
-    sender = SproutSender(bootstrap_packets_per_tick=0)
+def _run_ticks(sender, ticks):
     ctx = FakeContext()
     sender.start(ctx)
-    ctx.time = 0.1
-    sender.on_packet(_feedback([2, 4, 6, 8, 10, 12, 14, 16], time=0.1), ctx.time)
-    assert sender.window_history
+    for i in range(1, ticks + 1):
+        ctx.time = 0.02 * i
+        sender.on_packet(_feedback([2, 4, 6, 8, 10, 12, 14, 16], time=ctx.time), ctx.time)
+        sender.on_tick(ctx.time)
+    return ctx
+
+
+def test_window_history_recorded():
+    sender = SproutSender(bootstrap_packets_per_tick=0, record_history=True)
+    _run_ticks(sender, 500)
+    # One window per forecast arrival and one per tick.
+    assert len(sender.window_history) == 1000
     assert sender.window_history[0][1] > 0
+
+
+def test_window_history_stays_empty_by_default():
+    sender = SproutSender(bootstrap_packets_per_tick=0)
+    ctx = _run_ticks(sender, 500)
+    assert ctx.sent
+    assert sender.window_history == []
