@@ -62,10 +62,9 @@ from repro.core.rate_model import (
     model_cache,
     shared_rate_model,
 )
-from repro.experiments.parallel import run_matrix
+from repro.experiments.parallel import run_cells
 from repro.experiments.policy import ErrorPolicy
 from repro.experiments.runner import RunConfig, run_scheme_on_link
-from repro.experiments.runner import run_matrix as run_matrix_serial
 from repro.experiments.sweeps import (
     GridSpec,
     expand_grid,
@@ -142,14 +141,17 @@ def test_bench_forecaster_ticks_per_sec():
 
 
 def test_bench_matrix_wallclock():
+    cells = [
+        (scheme, link, MATRIX_CONFIG)
+        for scheme in MATRIX_SCHEMES
+        for link in MATRIX_LINKS
+    ]
     start = time.perf_counter()
-    serial = run_matrix_serial(MATRIX_SCHEMES, MATRIX_LINKS, config=MATRIX_CONFIG)
+    serial = [run_scheme_on_link(*cell) for cell in cells]
     serial_s = time.perf_counter() - start
 
     start = time.perf_counter()
-    parallel = run_matrix(
-        MATRIX_SCHEMES, MATRIX_LINKS, config=MATRIX_CONFIG, jobs=MATRIX_JOBS
-    )
+    parallel = run_cells(cells, jobs=MATRIX_JOBS)
     parallel_s = time.perf_counter() - start
 
     # The whole point of the parallel runner: identical output.

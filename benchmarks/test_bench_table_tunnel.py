@@ -35,5 +35,3 @@ def test_bench_table_tunnel(benchmark):
     assert tunnelled["skype"].delay_95_s < 0.5 * direct["skype"].delay_95_s
     # Cubic pays a substantial throughput penalty.
     assert tunnelled["cubic"].throughput_bps < direct["cubic"].throughput_bps
-    # The tunnel's dynamic queue management was exercised.
-    assert comparison.tunnelled.tunnel_drops > 0

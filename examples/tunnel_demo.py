@@ -37,7 +37,6 @@ def main() -> None:
     )
     print(render_competing(comparison))
     print()
-    print(f"tunnel queue-management drops: {comparison.tunnelled.tunnel_drops} packets")
     skype_change = comparison.change_percent("skype", "delay_95_s")
     print(f"Skype 95% delay change through the tunnel: {skype_change:+.0f}% "
           "(the paper reports -97%)")

@@ -124,12 +124,19 @@ def _add_run_options(parser: argparse.ArgumentParser) -> None:
     )
 
 
+class _UsageError(Exception):
+    """A bad argument combination argparse cannot see: message + exit 2."""
+
+
 def _run_config(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        duration=args.duration,
-        warmup=args.warmup,
-        per_flow=getattr(args, "per_flow", False),
-    )
+    try:
+        return RunConfig(
+            duration=args.duration,
+            warmup=args.warmup,
+            per_flow=getattr(args, "per_flow", False),
+        )
+    except ValueError as error:
+        raise _UsageError(str(error)) from None
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -181,11 +188,8 @@ def _cmd_table(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    try:
-        config = ReportConfig(duration=args.duration, warmup=args.warmup, jobs=args.jobs)
-    except ValueError as error:
-        print(f"report error: {error}", file=sys.stderr)
-        return 2
+    run = _run_config(args)
+    config = ReportConfig(duration=run.duration, warmup=run.warmup, jobs=args.jobs)
     report = generate_report(config)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as f:
@@ -222,6 +226,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     links = tuple(args.links) if args.links else ()
     config = _run_config(args)
     try:
+        policy = ErrorPolicy(
+            on_error=args.on_error,
+            retries=args.retries,
+            cell_timeout=args.cell_timeout,
+            checkpoint=args.checkpoint,
+        )
         # Several --param flags form ONE grid: the Cartesian product of the
         # axes, every point measuring the schemes × links matrix.
         spec = GridSpec(
@@ -229,12 +239,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             values=tuple(tuple(value_list) for value_list in values),
             schemes=tuple(args.schemes),
             links=links,
-            policy=ErrorPolicy(
-                on_error=args.on_error,
-                retries=args.retries,
-                cell_timeout=args.cell_timeout,
-                checkpoint=args.checkpoint,
-            ),
         )
         # Validate the full expansion up front (it is cheap) so a bad value
         # in a late axis cannot waste the minutes of emulation before it.
@@ -255,7 +259,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     # that would never receive a cell.
     with shared_pool(args.jobs if args.backend == "processes" else None):
         data = run_grid(
-            spec, config=config, jobs=args.jobs, backend=args.backend, screen=screen
+            spec,
+            config=config,
+            jobs=args.jobs,
+            policy=policy,
+            backend=args.backend,
+            screen=screen,
         )
     print(render_grid(data))
     if len(spec.parameters) > 1 or args.per_flow:
@@ -629,7 +638,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _UsageError as error:
+        print(f"{args.command} error: {error}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -55,7 +55,7 @@ from repro.baselines.base import RttEstimator
 from repro.core.connection import SproutConfig
 from repro.core.rate_model import RateModelParams
 from repro.experiments.competing import competing_scheme_parts
-from repro.experiments.parallel import Cell, CellOutcome, run_cells
+from repro.experiments.parallel import Cell, CellOutcome, ProgressCallback, run_cells
 from repro.experiments.policy import (
     ErrorPolicy,
     cell_link_name,
@@ -63,7 +63,7 @@ from repro.experiments.policy import (
     is_cell_error,
 )
 from repro.experiments.registry import SchemeSpec, get_scheme, sprout_variant_config
-from repro.experiments.runner import ProgressCallback, RunConfig
+from repro.experiments.runner import RunConfig
 from repro.experiments.sweeps import GridData, GridSpec, expand_grid, grid_points
 from repro.metrics.summary import ScreenedResult, SchemeResult, is_screened
 from repro.simulation.delay_box import DEFAULT_PROPAGATION_DELAY
@@ -728,7 +728,7 @@ def run_grid_screened(
         selected,
         progress=progress,
         jobs=jobs,
-        policy=policy or spec.policy,
+        policy=policy,
         backend=backend,
     )
     merged: List[CellOutcome] = []

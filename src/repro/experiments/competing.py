@@ -17,9 +17,9 @@ the bottleneck either way.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.baselines.base import AckingReceiver
 from repro.baselines.cubic import CubicSender
@@ -28,16 +28,15 @@ from repro.baselines.videoconference import (
     VideoconferenceReceiver,
     VideoconferenceSender,
 )
-from repro.cellsim.cellsim import build_cellsim, traces_for_link
 from repro.core.connection import SproutConfig
-from repro.experiments.parallel import Task, run_tasks
-from repro.metrics.flows import FlowMetrics, flow_metrics_from_arrivals
+from repro.experiments.parallel import Cell, run_cells
+from repro.experiments.runner import RunConfig
+from repro.metrics.flows import FlowMetrics
+from repro.metrics.summary import SchemeResult
 from repro.simulation.endpoints import HostContext, Protocol
 from repro.simulation.mux import MultiplexProtocol
 from repro.simulation.packet import Packet
-from repro.simulation.queues import QueueConfig
-from repro.traces.networks import get_link
-from repro.tunnel.tunnel import HEADER_TUNNEL_FLOW, make_tunnel
+from repro.tunnel.tunnel import make_tunnel
 
 
 @dataclass
@@ -46,7 +45,6 @@ class CompetingResult:
 
     mode: str
     flows: Dict[str, FlowMetrics]
-    tunnel_drops: int = 0
 
 
 @dataclass
@@ -104,153 +102,6 @@ class TunnelClient(Protocol):
         self.inner.stop(now)
 
 
-def _flow_metrics(
-    arrivals: List[Tuple[float, Packet]],
-    warmup: float,
-    duration: float,
-    flow: str = "",
-) -> FlowMetrics:
-    return flow_metrics_from_arrivals(arrivals, warmup, duration, flow)
-
-
-def run_direct(
-    link_name: str = "Verizon LTE downlink",
-    duration: float = 60.0,
-    warmup: float = 10.0,
-    queue: Optional[QueueConfig] = None,
-) -> CompetingResult:
-    """Cubic and Skype sharing the emulated link's single queue directly.
-
-    ``queue`` selects the carrier queue (e.g. CoDel, or a finite byte
-    limit); the default is the paper's deep drop-tail buffer.
-    """
-    link = get_link(link_name)
-    forward, reverse = traces_for_link(link, duration)
-
-    sender_mux = MultiplexProtocol(
-        {
-            "cubic": CubicSender(flow_id="cubic"),
-            "skype": VideoconferenceSender(SKYPE_PROFILE, flow_id="skype"),
-        }
-    )
-    receiver_mux = MultiplexProtocol(
-        {
-            "cubic": AckingReceiver(flow_id="cubic"),
-            "skype": VideoconferenceReceiver(flow_id="skype"),
-        }
-    )
-    sim = build_cellsim(
-        sender_mux,
-        receiver_mux,
-        forward,
-        reverse,
-        queue=queue,
-        name=f"{link.name} direct",
-        seed=link.seed,
-    )
-    sim.run(duration)
-
-    flows = {
-        name: _flow_metrics(
-            receiver_mux.received_by_flow.get(name, []), warmup, duration, name
-        )
-        for name in ("cubic", "skype")
-    }
-    return CompetingResult(mode="direct", flows=flows)
-
-
-def run_tunnelled(
-    link_name: str = "Verizon LTE downlink",
-    duration: float = 60.0,
-    warmup: float = 10.0,
-    sprout_config: Optional[SproutConfig] = None,
-    queue: Optional[QueueConfig] = None,
-) -> CompetingResult:
-    """Cubic and Skype carried through SproutTunnel over the same link."""
-    link = get_link(link_name)
-    forward, reverse = traces_for_link(link, duration)
-    tunnel = make_tunnel(sprout_config)
-
-    cubic_receiver = AckingReceiver(flow_id="cubic")
-    skype_receiver = VideoconferenceReceiver(flow_id="skype")
-
-    sender_mux = MultiplexProtocol(
-        {
-            "sprout-tunnel": tunnel.sender_protocol,
-            "cubic": TunnelClient(CubicSender(flow_id="cubic"), "cubic", tunnel.ingress),
-            "skype": TunnelClient(
-                VideoconferenceSender(SKYPE_PROFILE, flow_id="skype"), "skype", tunnel.ingress
-            ),
-        }
-    )
-    receiver_mux = MultiplexProtocol(
-        {
-            "sprout-tunnel": tunnel.receiver_protocol,
-            "cubic": cubic_receiver,
-            "skype": skype_receiver,
-        }
-    )
-    # Tunnelled client packets are delivered to the local client receivers by
-    # the egress, which also triggers their feedback (ACKs / reports).
-    delivered: Dict[str, List[Tuple[float, Packet]]] = {"cubic": [], "skype": []}
-
-    def _handler(flow: str, receiver: Protocol):
-        def handle(packet: Packet, now: float) -> None:
-            delivered[flow].append((now, packet))
-            receiver.on_packet(packet, now)
-
-        return handle
-
-    tunnel.egress.register_flow("cubic", _handler("cubic", cubic_receiver))
-    tunnel.egress.register_flow("skype", _handler("skype", skype_receiver))
-
-    sim = build_cellsim(
-        sender_mux,
-        receiver_mux,
-        forward,
-        reverse,
-        queue=queue,
-        name=f"{link.name} tunnel",
-        seed=link.seed,
-    )
-    sim.run(duration)
-
-    flows = {
-        name: _flow_metrics(delivered[name], warmup, duration, name)
-        for name in ("cubic", "skype")
-    }
-    return CompetingResult(
-        mode="sprout-tunnel", flows=flows, tunnel_drops=tunnel.dropped_for_limit
-    )
-
-
-def competing_tasks(
-    link_name: str = "Verizon LTE downlink",
-    duration: float = 60.0,
-    warmup: float = 10.0,
-    queue: Optional[QueueConfig] = None,
-) -> List[Task]:
-    """The comparison's two runs as pool tasks: direct, then tunnelled."""
-    return [
-        partial(run_direct, link_name, duration, warmup, queue=queue),
-        partial(run_tunnelled, link_name, duration, warmup, queue=queue),
-    ]
-
-
-def run_competing_comparison(
-    link_name: str = "Verizon LTE downlink",
-    duration: float = 60.0,
-    warmup: float = 10.0,
-    queue: Optional[QueueConfig] = None,
-    jobs: Optional[int] = None,
-) -> CompetingComparison:
-    """The full Section 5.7 comparison: direct vs. through SproutTunnel."""
-    direct, tunnelled = run_tasks(
-        competing_tasks(link_name, duration, warmup, queue), jobs=jobs
-    )
-    return CompetingComparison(direct=direct, tunnelled=tunnelled)
-
-
 # --------------------------------------------------------------------------
 # Competing-traffic scenarios as matrix cells (the flows / tunnelled axes)
 # --------------------------------------------------------------------------
@@ -303,10 +154,10 @@ def competing_tunnel_pair(
 
     The egress delivers each unwrapped client packet to its local receiver,
     whose feedback (ACKs, receiver reports) returns over the reverse
-    direction outside the tunnel, exactly as in :func:`run_tunnelled`.  Each
-    egress delivery is also logged into the receiver mux's per-flow log, so
-    per-flow metrics (``RunConfig(per_flow=True)``) see the client flows and
-    not just the tunnel frames that crossed the link.
+    direction outside the tunnel.  Each egress delivery is also logged into
+    the receiver mux's per-flow log, so per-flow metrics
+    (``RunConfig(per_flow=True)``) see the client flows and not just the
+    tunnel frames that crossed the link.
     """
     tunnel = make_tunnel(sprout_config)
     senders: Dict[str, Protocol] = {"sprout-tunnel": tunnel.sender_protocol}
@@ -377,6 +228,47 @@ def competing_scheme_parts(
     if factory.func is competing_direct_pair and len(factory.args) == 1:
         return int(factory.args[0]), False, None
     return None
+
+
+def competing_cells(
+    link_name: str = "Verizon LTE downlink",
+    duration: float = 60.0,
+    warmup: float = 10.0,
+) -> List[Cell]:
+    """The Section 5.7 comparison as two scenario cells: direct, then tunnelled."""
+    config = RunConfig(duration=duration, warmup=warmup, per_flow=True)
+    return [
+        (competing_scheme(2, tunnelled), link_name, config)
+        for tunnelled in (False, True)
+    ]
+
+
+def assemble_competing(results: Sequence[SchemeResult]) -> CompetingComparison:
+    """The comparison from the results of :func:`competing_cells`, in cell order."""
+    runs = []
+    for mode, result in zip(("direct", "sprout-tunnel"), results):
+        by_flow = {flow.flow: flow for flow in result.flows}
+        runs.append(
+            CompetingResult(
+                mode=mode,
+                flows={
+                    "cubic": replace(by_flow["cubic-1"], flow="cubic"),
+                    "skype": by_flow["skype"],
+                },
+            )
+        )
+    return CompetingComparison(*runs)
+
+
+def run_competing_comparison(
+    link_name: str = "Verizon LTE downlink",
+    duration: float = 60.0,
+    warmup: float = 10.0,
+    jobs: Optional[int] = None,
+) -> CompetingComparison:
+    """The full Section 5.7 comparison: direct vs. through SproutTunnel."""
+    cells = competing_cells(link_name, duration, warmup)
+    return assemble_competing(run_cells(cells, jobs=jobs))
 
 
 def render_competing(comparison: CompetingComparison) -> str:

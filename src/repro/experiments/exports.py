@@ -40,16 +40,15 @@ column-by-column / key-by-key in ``docs/scenarios.md``:
   :class:`~repro.metrics.summary.ScreenedResult` records with the same
   ``index`` convention.
 
-Both directions are covered: :func:`parse_csv` / :func:`parse_json` read an
-export back — current (v4) **and** the v1/v2/v3 exports written before the
-per-flow columns, the error channel, and the screening tier existed — and
-:func:`grid_data_from_json` rebuilds a full ``GridData`` (failed cells come
-back as ``CellError`` outcomes, screened cells as ``ScreenedResult``
-records, each in its original position); the round-trip is exact
-(``tests/test_exports.py``).  A v4 file that marks a row/record *both*
-screened and per-flow is self-contradictory — screened cells were never
-emulated, so they cannot have measured flows — and is rejected rather than
-silently merged.
+Both directions are covered: :func:`parse_csv` / :func:`parse_json` read a
+current (v4) export back — any other ``schema_version`` is refused by
+number — and :func:`grid_data_from_json` rebuilds a full ``GridData``
+(failed cells come back as ``CellError`` outcomes, screened cells as
+``ScreenedResult`` records, each in its original position); the round-trip
+is exact (``tests/test_exports.py``).  A v4 file that marks a row/record
+*both* screened and per-flow is self-contradictory — screened cells were
+never emulated, so they cannot have measured flows — and is rejected rather
+than silently merged.
 """
 
 from __future__ import annotations
@@ -69,7 +68,7 @@ from repro.metrics.summary import SchemeResult, ScreenedResult, is_screened
 EXPORT_SCHEMA_VERSION = 4
 
 #: schema versions :func:`parse_csv` / :func:`parse_json` understand
-SUPPORTED_SCHEMA_VERSIONS = (1, 2, 3, 4)
+SUPPORTED_SCHEMA_VERSIONS = (EXPORT_SCHEMA_VERSION,)
 
 #: metric columns of the CSV export, in order (docs/scenarios.md)
 METRIC_COLUMNS: List[str] = [
@@ -203,10 +202,9 @@ def _jsonable(value: object) -> object:
     jq / JavaScript / pandas reject the whole file (and with
     ``allow_nan=False`` the dump itself raises).  Both are reachable: nan
     from a flow with no delay-signal segments inside the window, inf from
-    failed-cell-adjacent ratio metrics.  nan exports as ``null`` (the v3
-    convention, kept for fixture compatibility) and infinities as the
-    strings ``"Infinity"`` / ``"-Infinity"``; all three parse back to the
-    original float (:func:`_result_from_dict`).
+    failed-cell-adjacent ratio metrics.  nan exports as ``null`` and
+    infinities as the strings ``"Infinity"`` / ``"-Infinity"``; all three
+    parse back to the original float (:func:`_result_from_dict`).
     """
     if isinstance(value, float):
         if value != value:
@@ -243,14 +241,12 @@ def export_json(grid: GridData) -> str:
 
 
 def _point_payload(point: GridPoint) -> Dict[str, object]:
-    """One JSON point: coordinates, results, (v3) failures, (v4) screening.
+    """One JSON point: coordinates, results, failures, screening.
 
     ``errors`` is present only when the point had failures, and
     ``screened`` only when the grid was run under analytic screening
-    (docs/analytic.md) — so an all-green unscreened v4 export differs from
-    v3 solely by its version number and parses under the same mental
-    model.  Each error/screened record carries the ``index`` of its cell
-    within the point's interleaved outcome order, which lets
+    (docs/analytic.md).  Each error/screened record carries the ``index``
+    of its cell within the point's interleaved outcome order, which lets
     :func:`grid_data_from_json` put it back in its original position.
     """
     payload: Dict[str, object] = {
@@ -329,14 +325,13 @@ def parse_csv(text: str) -> List[Dict[str, object]]:
     """Parse a CSV export back into typed rows (exact float round-trip).
 
     Axis and metric columns come back as floats, ``schema_version`` as an
-    int, ``scheme``/``link`` as strings.  Schema v2 adds the per-flow
-    columns: ``flow_id`` is a string (``None`` on aggregate rows) and empty
-    metric cells come back as ``None``.  Schema v3 adds the trailing
-    ``error`` column (a string on a failed cell's row, ``None``
-    otherwise).  Schema v4 adds the screening columns: ``screened`` is an
-    int (1 on a predicted row, 0 on a measured aggregate row, ``None`` on
-    flow/error rows) and the ``predicted_*`` / ``prediction_uncertainty``
-    columns are floats or ``None``.  v1–v3 exports parse unchanged.
+    int, ``scheme``/``link`` as strings; ``flow_id`` is a string (``None``
+    on aggregate rows) and empty metric cells come back as ``None``; the
+    trailing ``error`` column is a string on a failed cell's row, ``None``
+    otherwise; ``screened`` is an int (1 on a predicted row, 0 on a
+    measured aggregate row, ``None`` on flow/error rows) and the
+    ``predicted_*`` / ``prediction_uncertainty`` columns are floats or
+    ``None``.
     Raises ``ValueError`` on a schema version this code does not
     understand, on a self-contradictory v4 row that is both screened
     and per-flow (a screened cell was never emulated, so it cannot carry a
@@ -528,10 +523,9 @@ def _screened_from_dict(record: Dict[str, object]) -> ScreenedResult:
 def _point_outcomes(entry: Dict[str, object]) -> List[object]:
     """One point's interleaved cell outcomes from its JSON entry.
 
-    Successful results are re-slotted around the (v3) ``errors`` and (v4)
+    Successful results are re-slotted around the ``errors`` and
     ``screened`` records using each record's ``index``, so the rebuilt
-    point preserves the original cell order exactly.  v1/v2 entries have
-    neither key and reduce to the plain results list.
+    point preserves the original cell order exactly.
     """
     results = [_result_from_dict(row) for row in entry["results"]]
     errors = entry.get("errors") or []
@@ -557,12 +551,12 @@ def _point_outcomes(entry: Dict[str, object]) -> List[object]:
 
 
 def grid_data_from_json(payload: Union[str, dict]) -> GridData:
-    """Rebuild a full :class:`GridData` from a JSON export (v1–v4).
+    """Rebuild a full :class:`GridData` from a JSON export.
 
     The reconstruction is exact: every ``SchemeResult`` field (including
     the ``extra`` counters and the optional per-flow list) round-trips
-    bit-identically, v3 failure records come back as
-    :class:`~repro.experiments.policy.CellError` outcomes, and v4
+    bit-identically, failure records come back as
+    :class:`~repro.experiments.policy.CellError` outcomes, and
     screening records as :class:`~repro.metrics.summary.ScreenedResult`
     predictions, each in its original cell position — so downstream
     analysis (frontiers, tables, failure reports, differential

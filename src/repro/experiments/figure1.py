@@ -18,7 +18,6 @@ import numpy as np
 from repro.cellsim.cellsim import cellsim_for_link
 from repro.experiments.parallel import Task, run_tasks
 from repro.experiments.registry import get_scheme
-from repro.experiments.runner import RunConfig
 from repro.traces.analysis import capacity_timeseries
 from repro.traces.networks import get_link, link_trace
 
@@ -134,11 +133,9 @@ def run_figure1(
     schemes: Sequence[str] = FIGURE1_SCHEMES,
     duration: float = 60.0,
     bin_width: float = 1.0,
-    config: Optional[RunConfig] = None,
     jobs: Optional[int] = None,
 ) -> Figure1Data:
-    """Regenerate the data behind Figure 1."""
-    del config  # the time-series figure always runs the full window
+    """Regenerate the data behind Figure 1 (always over the full window)."""
     tasks = figure1_tasks(link_name, schemes, duration, bin_width)
     return assemble_figure1(run_tasks(tasks, jobs=jobs), link_name, duration, bin_width)
 

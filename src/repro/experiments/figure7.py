@@ -12,9 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-from repro.experiments.parallel import Cell, run_cells
+from repro.experiments.parallel import Cell, ProgressCallback, run_cells
 from repro.experiments.registry import FIGURE7_SCHEMES
-from repro.experiments.runner import ProgressCallback, RunConfig
+from repro.experiments.runner import RunConfig
 from repro.metrics.summary import SchemeResult
 from repro.traces.networks import link_names
 

@@ -13,10 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-from repro.experiments.parallel import run_matrix
+from repro.experiments.figure7 import run_figure7
 from repro.experiments.runner import RunConfig
 from repro.metrics.summary import SchemeResult, average_by_scheme
-from repro.traces.networks import link_names
 
 #: the four schemes the paper places on Figure 8
 FIGURE8_SCHEMES = ("Sprout", "Sprout-EWMA", "Cubic", "Cubic-CoDel")
@@ -48,8 +47,7 @@ def run_figure8(
     schemes) to avoid re-running the emulations.
     """
     if results is None:
-        link_list = list(links) if links is not None else link_names()
-        results = run_matrix(FIGURE8_SCHEMES, link_list, config=config, jobs=jobs)
+        results = run_figure7(FIGURE8_SCHEMES, links, config, jobs=jobs).results
     wanted = [r for r in results if r.scheme in FIGURE8_SCHEMES]
     return Figure8Data(results=wanted, averages=average_by_scheme(wanted))
 

@@ -2,17 +2,16 @@
 
 The evaluation's measurement matrix (every scheme over every link, the
 substrate of Figures 7-8 and the introduction tables) is embarrassingly
-parallel: each cell is an independent emulation.  :func:`run_matrix` here
+parallel: each cell is an independent emulation.  :func:`run_cells` here
 fans the cells out over a :class:`~concurrent.futures.ProcessPoolExecutor`
-and returns results in exactly the order of the serial runner — scheme-major,
-link-minor — so every downstream consumer (tables, figures, reports) sees
-bit-identical output regardless of ``jobs``.
+and returns results in exactly the order of the cells it was given, so every
+downstream consumer (tables, figures, reports) sees bit-identical output
+regardless of ``jobs``.
 
-A multi-matrix run (the full report, a parameter sweep) opens **one**
-pool with :func:`shared_pool` and reuses it for every matrix instead of
-paying worker start-up once per matrix; :func:`run_cells` /
-:func:`run_matrix` transparently pick the shared pool up when one is
-active.
+A multi-batch run (the full report, a parameter sweep) opens **one**
+pool with :func:`shared_pool` and reuses it for every batch instead of
+paying worker start-up once per batch; :func:`run_cells` transparently
+picks the shared pool up when one is active.
 
 The cell runner is also *cache-shaped*.  A swept rate model costs ~1.5 s of
 Monte-Carlo precomputation the first time it is seen on a machine
@@ -73,7 +72,6 @@ from contextlib import contextmanager
 from typing import (
     Callable,
     Dict,
-    Iterable,
     Iterator,
     List,
     Optional,
@@ -295,8 +293,8 @@ def active_pool() -> Optional[ProcessPoolExecutor]:
 def shared_pool(jobs: Optional[int] = None) -> Iterator[Optional[ProcessPoolExecutor]]:
     """Open one worker pool and share it across every matrix inside.
 
-    All :func:`run_matrix` / :func:`run_cells` calls made while the context
-    is active reuse this pool instead of opening their own.
+    All :func:`run_cells` calls made while the context is active reuse this
+    pool instead of opening their own.
     ``jobs`` of ``None`` or ``1`` yields no pool at all — everything inside
     runs serially, which keeps ``shared_pool(cfg.jobs)`` a safe no-op on the
     serial path.  ``0`` means one worker per CPU.  Nested calls reuse the
@@ -329,8 +327,8 @@ def start_tasks(tasks: Sequence[Task]) -> Callable[[], List]:
     """Queue plain tasks on the active shared pool; returns their collector.
 
     For the simulations that are not ``(scheme, link, config)`` cells
-    (Figure 1's time series, the Section 5.7 runs): submitted at once, ahead
-    of whatever batch the caller runs next, and read back — in task order —
+    (Figure 1's time series): submitted at once, ahead of whatever batch
+    the caller runs next, and read back — in task order —
     by calling the returned function, which re-raises a task's exception.
     Without an active pool the tasks run in-process when collected.
     """
@@ -685,19 +683,6 @@ def _run_indices_fault_tolerant(
         )
 
 
-def _resolve_policy(
-    policy: Optional[ErrorPolicy], cells: Sequence[Cell]
-) -> ErrorPolicy:
-    """Explicit argument first, then the first cell carrying one, else default."""
-    if policy is not None:
-        return policy
-    for _, _, config in cells:
-        carried = getattr(config, "error_policy", None)
-        if carried is not None:
-            return carried
-    return ErrorPolicy()
-
-
 #: the cell-execution backends ``run_cells`` accepts
 BACKENDS = ("processes", "batched")
 
@@ -711,23 +696,24 @@ def run_cells(
 ) -> List[CellOutcome]:
     """Run explicit ``(scheme, link, config)`` cells, preserving their order.
 
-    This is the workhorse under :func:`run_matrix` and the sweep engine
-    (:mod:`repro.experiments.sweeps`): unlike ``run_matrix`` every cell may
-    carry its own :class:`RunConfig`.  Results are bit-identical to calling
-    :func:`~repro.experiments.runner.run_scheme_on_link` cell by cell.
+    This is the one way a batch of emulations runs — the figures, the
+    tables, the report and the sweep engine
+    (:mod:`repro.experiments.sweeps`) all declare cells and call it; every
+    cell may carry its own :class:`RunConfig`.  Results are bit-identical
+    to calling :func:`~repro.experiments.runner.run_scheme_on_link` cell by
+    cell.
 
     ``jobs``: worker processes.  ``1`` always runs serially in-process;
     ``None`` reuses an active :func:`shared_pool` if one is open and runs
     serially otherwise; ``0`` means one worker per CPU.
 
-    ``policy``: the batch's :class:`~repro.experiments.policy.ErrorPolicy`.
-    ``None`` adopts the first policy found on a cell's
-    :attr:`RunConfig.error_policy`, falling back to the fail-fast default.
-    Under ``collect``/``retry`` the returned list holds a
-    :class:`~repro.experiments.policy.CellError` at each failed cell's
-    position (``docs/robustness.md``); every index is always filled —
-    a hole raises :class:`~repro.experiments.policy.IncompleteBatchError`
-    rather than silently shrinking the list.
+    ``policy``: the batch's :class:`~repro.experiments.policy.ErrorPolicy`;
+    ``None`` is the fail-fast default.  Under ``collect``/``retry`` the
+    returned list holds a :class:`~repro.experiments.policy.CellError` at
+    each failed cell's position (``docs/robustness.md``); every index is
+    always filled — a hole raises
+    :class:`~repro.experiments.policy.IncompleteBatchError` rather than
+    silently shrinking the list.
 
     ``backend``: ``"processes"`` (the default) fans out over worker
     processes as described above; ``"batched"`` runs eligible Sprout cells
@@ -751,7 +737,7 @@ def run_cells(
     cell_list = list(cells)
     if not cell_list:
         return []
-    active_policy = _resolve_policy(policy, cell_list)
+    active_policy = policy if policy is not None else ErrorPolicy()
 
     results: List[Optional[CellOutcome]] = [None] * len(cell_list)
     journal: Optional[CheckpointJournal] = None
@@ -815,33 +801,3 @@ def _dispatch(
     finally:
         if not host.shared:
             host.pool.shutdown(wait=True)
-
-
-def run_matrix(
-    schemes: Iterable[Union[str, SchemeSpec]],
-    links: Iterable[Union[str, LinkSpec]],
-    config: Optional[RunConfig] = None,
-    progress: Optional[ProgressCallback] = None,
-    jobs: Optional[int] = None,
-) -> List[SchemeResult]:
-    """Run every scheme over every link, fanned out over worker processes.
-
-    Args:
-        schemes: scheme names (or specs) — the matrix rows.
-        links: link names (or specs) — the matrix columns.
-        config: run parameters shared by every cell.
-        progress: invoked with each finished :class:`SchemeResult` as it
-            completes (completion order, not matrix order).
-        jobs: worker processes.  ``1`` always runs serially in-process;
-            ``None`` reuses an active :func:`shared_pool` if one is open
-            and runs serially otherwise; ``0`` means :func:`default_jobs`.
-
-    Returns:
-        Results in the serial runner's order (scheme-major, link-minor),
-        bit-identical to ``repro.experiments.runner.run_matrix``.
-    """
-    link_list = list(links)
-    cells: List[Cell] = [
-        (scheme, link, config) for scheme in schemes for link in link_list
-    ]
-    return run_cells(cells, progress=progress, jobs=jobs)

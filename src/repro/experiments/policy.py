@@ -19,15 +19,14 @@ at, hours of emulation across thousands of cells.  This module holds the
   traceback text, how many attempts were made, and the failure kind
   (``error`` / ``timeout``).  It occupies the failed cell's position in the
   result list, so grid slicing stays positional, and it flows through the
-  schema-v3 exports and the report's failure sections.
+  exports and the report's failure sections.
 * :class:`CheckpointJournal` — an append-only JSONL journal of completed
   :class:`~repro.metrics.summary.SchemeResult` rows keyed on cell *content*
   (:func:`cell_key`), so an interrupted grid resumes by re-running only the
   cells that never finished.
 
 Everything here is engine-agnostic: no imports from the execution modules,
-so the policy types can be carried by :class:`~repro.experiments.runner.RunConfig`,
-:class:`~repro.experiments.sweeps.GridSpec`, and the CLI without cycles.
+so every engine and the CLI can import the policy types without cycles.
 See ``docs/robustness.md`` for the user-level story.
 """
 
@@ -38,7 +37,7 @@ import json
 import os
 import threading
 import traceback as traceback_module
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import Any, Dict, Optional, Tuple
 
 from repro.cache import content_key
@@ -254,9 +253,8 @@ def describe_cell(cell: Tuple[Any, Any, Any]) -> Tuple:
     identity (name, category, queue options, and the full factory
     configuration for ad-hoc variants), the link spec (the dataclass repr
     covers the channel model, queue config, and propagation settings), and
-    the run parameters.  The error policy is *excluded* — how failures are
-    handled cannot change what a successful cell computes, so a resume
-    under a different policy still matches.
+    the run parameters.  The batch's error policy is no part of a cell, so a
+    resume under a different policy still matches.
     """
     scheme, link, config = cell
     if isinstance(scheme, str):
@@ -270,15 +268,7 @@ def describe_cell(cell: Tuple[Any, Any, Any]) -> Tuple:
             _describe_callable(getattr(scheme, "factory", None)),
         )
     link_payload = ("name", link) if isinstance(link, str) else ("spec", repr(link))
-    if config is None:
-        config_payload: Tuple = ("default",)
-    else:
-        neutral = (
-            replace(config, error_policy=None)
-            if getattr(config, "error_policy", None) is not None
-            else config
-        )
-        config_payload = ("config", repr(neutral))
+    config_payload = ("default",) if config is None else ("config", repr(config))
     return (CHECKPOINT_FORMAT_VERSION, scheme_payload, link_payload, config_payload)
 
 

@@ -10,8 +10,8 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.experiments.competing import (
-    CompetingComparison,
-    competing_tasks,
+    assemble_competing,
+    competing_cells,
     render_competing,
 )
 from repro.experiments.figure1 import assemble_figure1, figure1_tasks, render_figure1
@@ -42,6 +42,12 @@ from repro.metrics.summary import SchemeResult
 
 #: the Section 5.7 section's warm-up; ``tunnel_duration`` must exceed it
 TUNNEL_WARMUP = 10.0
+
+#: the names ``ReportConfig.include_sections`` may hold
+SECTIONS = (
+    "figure1", "figure2", "figure7", "figure8", "figure9",
+    "tables", "loss", "tunnel", "grids",
+)  # fmt: skip
 
 
 @dataclass
@@ -83,6 +89,12 @@ class ReportConfig:
                 f"tunnel_duration must exceed the Section 5.7 warm-up of "
                 f"{TUNNEL_WARMUP} s, got {self.tunnel_duration}"
             )
+        unknown = [name for name in self.include_sections or () if name not in SECTIONS]
+        if unknown:
+            raise ValueError(
+                f"include_sections must hold section names "
+                f"({' '.join(SECTIONS)}), got {' '.join(map(repr, unknown))}"
+            )
 
     def run_config(self) -> RunConfig:
         return RunConfig(duration=self.duration, warmup=self.warmup)
@@ -95,13 +107,13 @@ def generate_report(config: Optional[ReportConfig] = None, progress=print) -> st
     """Run every experiment and return the combined textual report.
 
     The run is *declare, run once, render*: every wanted section first names
-    its emulations; all ``(scheme, link, config)`` cells — the Figure 7
-    matrix, Figure 9, the loss table — then go to the shared worker pool
-    (when ``jobs`` asks for one) as **one** batch in which cells that
-    coincide run once, behind the four emulations that are not cells
-    (Figure 1's time series, the Section 5.7 runs); the sections are
-    rendered from the results in report order, so the text does not depend
-    on ``jobs`` (docs/performance.md "The report as one batch").
+    its emulations; all ``(scheme, link, config)`` cells — the Section 5.7
+    pair, the Figure 7 matrix, Figure 9, the loss table — then go to the
+    shared worker pool (when ``jobs`` asks for one) as **one** batch in
+    which cells that coincide run once, behind the two emulations that are
+    not cells (Figure 1's time series); the sections are rendered from the
+    results in report order, so the text does not depend on ``jobs``
+    (docs/performance.md "The report as one batch").
     """
     cfg = config if config is not None else ReportConfig()
     with shared_pool(cfg.jobs):
@@ -133,22 +145,20 @@ def _generate_report_sections(cfg: ReportConfig, progress) -> str:
         if progress is not None:
             progress(message)
 
-    # Declare.  The emulations that are not cells are among the longest, so
-    # they are queued first; Figure 2 is trace analysis and runs here, in
-    # the parent, while the pool starts on them.
-    figure1_series = tunnel_runs = figure2_data = None
+    # Declare.  Figure 1's two emulations are not cells, so they are queued
+    # now; Figure 2 is trace analysis and runs here, in the parent, while
+    # the pool starts on them.
+    figure1_series = figure2_data = None
+    tunnel, figure9, loss, matrix = [], [], [], []
     if cfg.wants("figure1"):
         note("running Figure 1 (Skype vs Sprout time series)...")
         figure1_series = start_tasks(figure1_tasks(duration=cfg.figure1_duration))
     if cfg.wants("tunnel"):
         note("running the Section 5.7 competing-traffic comparison...")
-        tunnel_runs = start_tasks(
-            competing_tasks(duration=cfg.tunnel_duration, warmup=TUNNEL_WARMUP)
-        )
+        tunnel = competing_cells(duration=cfg.tunnel_duration, warmup=TUNNEL_WARMUP)
     if cfg.wants("figure2"):
         note("running Figure 2 (interarrival distribution)...")
         figure2_data = run_figure2(duration=cfg.figure2_duration)
-    figure9, loss, matrix = [], [], []
     if cfg.wants("figure9"):
         note("running Figure 9 (confidence sweep)...")
         figure9 = figure9_cells(config=run_cfg)
@@ -159,9 +169,10 @@ def _generate_report_sections(cfg: ReportConfig, progress) -> str:
         note("running the Figure 7 measurement matrix (all schemes x all links)...")
         matrix = figure7_cells(schemes=INTRO_TABLE_SCHEMES, config=run_cfg)
 
-    # Run once.
+    # Run once, the Section 5.7 pair first: they are the batch's longest
+    # cells, and a pool that meets them last ends with one worker idle.
     results_of = _run_once(
-        [*matrix, *figure9, *loss],
+        [*tunnel, *matrix, *figure9, *loss],
         progress=lambda r: note(f"  {r.link}: {r.scheme} done"),
         jobs=cfg.jobs,
     )
@@ -188,8 +199,8 @@ def _generate_report_sections(cfg: ReportConfig, progress) -> str:
         sections.append(render_ewma_table(ewma_table(results=figure7_data.results)))
     if loss:
         sections.append(render_loss_table(assemble_loss_table(results_of(loss))))
-    if tunnel_runs is not None:
-        sections.append(render_competing(CompetingComparison(*tunnel_runs())))
+    if tunnel:
+        sections.append(render_competing(assemble_competing(results_of(tunnel))))
     if cfg.grids and cfg.wants("grids"):
         for grid_spec in cfg.grids:
             axes = " × ".join(grid_spec.parameters)

@@ -3,11 +3,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, List, Optional, Union
+from typing import Optional, Union
 
 from repro.baselines.omniscient import omniscient_delay
 from repro.cellsim.cellsim import Cellsim, build_cellsim, cellsim_for_link, traces_for_link
-from repro.experiments.policy import ErrorPolicy
 from repro.experiments.registry import SchemeSpec, get_scheme
 from repro.metrics.delay import arrivals_from_log, end_to_end_delay_95, self_inflicted_delay
 from repro.metrics.flows import attach_uplink_deliveries, flow_metrics_from_logs
@@ -28,12 +27,6 @@ class RunConfig:
     client flow (Section 5.7: Skype's delay vs. Cubic's throughput) when the
     receiving endpoint keeps per-flow logs — a multiplexed scenario cell.
     It is pure collection: the emulation's physics are identical either way.
-
-    ``error_policy`` rides along for the batch engines
-    (:func:`repro.experiments.parallel.run_cells` and the sweep/grid
-    runners): how a *batch* containing this cell responds to failures
-    (docs/robustness.md).  It never affects the cell's own emulation or
-    metrics, and a single :func:`run_scheme_on_link` call ignores it.
     """
 
     duration: float = DEFAULT_TRACE_DURATION
@@ -41,7 +34,6 @@ class RunConfig:
     loss_rate: float = 0.0
     queue_byte_limit: Optional[int] = None
     per_flow: bool = False
-    error_policy: Optional[ErrorPolicy] = None
 
     def __post_init__(self) -> None:
         if self.duration <= 0:
@@ -159,29 +151,3 @@ def collect_metrics(
         },
         flows=flows,
     )
-
-
-#: callback invoked with each finished result of a matrix run
-ProgressCallback = Callable[[SchemeResult], None]
-
-
-def run_matrix(
-    schemes: Iterable[Union[str, SchemeSpec]],
-    links: Iterable[Union[str, LinkSpec]],
-    config: Optional[RunConfig] = None,
-    progress: Optional[ProgressCallback] = None,
-) -> List[SchemeResult]:
-    """Run every scheme over every link (the Figure 7 measurement matrix).
-
-    This is the serial reference path; :func:`repro.experiments.parallel.run_matrix`
-    produces identical results fanned out over worker processes.
-    """
-    results: List[SchemeResult] = []
-    links = list(links)
-    for scheme in schemes:
-        for link in links:
-            result = run_scheme_on_link(scheme, link, config)
-            results.append(result)
-            if progress is not None:
-                progress(result)
-    return results

@@ -81,7 +81,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 from repro.core.connection import SproutConfig
 from repro.core.rate_model import RateModelParams
 from repro.experiments.competing import competing_scheme, competing_scheme_parts
-from repro.experiments.parallel import Cell, CellOutcome, run_cells
+from repro.experiments.parallel import Cell, CellOutcome, ProgressCallback, run_cells
 from repro.experiments.policy import CellError, ErrorPolicy, is_cell_error
 from repro.experiments.registry import (
     SchemeSpec,
@@ -89,7 +89,7 @@ from repro.experiments.registry import (
     sprout_variant,
     sprout_variant_config,
 )
-from repro.experiments.runner import ProgressCallback, RunConfig
+from repro.experiments.runner import RunConfig
 from repro.metrics.flows import FlowMetrics
 from repro.metrics.summary import SchemeResult, is_screened
 from repro.simulation.queues import AQM_CODEL, AQM_DROP_TAIL, QueueConfig
@@ -389,11 +389,6 @@ class GridSpec:
     values: Tuple[Tuple[float, ...], ...]
     schemes: Tuple[str, ...] = ("Sprout",)
     links: Tuple[str, ...] = ()
-    #: failure handling for the whole grid (docs/robustness.md); ``None``
-    #: leaves the choice to ``run_grid``'s caller / the fail-fast default.
-    #: Excluded from equality: two grids over the same cells are the same
-    #: grid however their failures are handled.
-    policy: Optional[ErrorPolicy] = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "parameters", tuple(self.parameters))
@@ -589,10 +584,9 @@ def run_grid(
     saturates the worker pool instead of draining between points, and every
     cell that shares a channel pulls its trace from the shared cache.
 
-    ``policy`` (explicit argument, else ``spec.policy``, else the config's,
-    else fail-fast — docs/robustness.md) governs failure handling; under
-    ``collect``/``retry`` each failed cell surfaces as a
-    :class:`~repro.experiments.policy.CellError` in its point's results.
+    ``policy`` (fail-fast when ``None`` — docs/robustness.md) governs
+    failure handling; under ``collect``/``retry`` each failed cell surfaces
+    as a :class:`~repro.experiments.policy.CellError` in its point's results.
 
     ``backend="batched"`` runs the grid's Sprout cells through the batched
     cross-cell engine instead of a worker pool (docs/performance.md
@@ -624,7 +618,7 @@ def run_grid(
         cells,
         progress=progress,
         jobs=jobs,
-        policy=policy or spec.policy,
+        policy=policy,
         backend=backend,
     )
     return GridData(spec=spec, points=grid_points(spec, results))

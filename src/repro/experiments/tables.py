@@ -12,7 +12,8 @@ from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence
 
 from repro.experiments.competing import CompetingComparison, run_competing_comparison
-from repro.experiments.parallel import Cell, run_cells, run_matrix
+from repro.experiments.figure7 import run_figure7
+from repro.experiments.parallel import Cell, run_cells
 from repro.experiments.registry import INTRO_TABLE_SCHEMES
 from repro.experiments.runner import RunConfig
 from repro.metrics.summary import (
@@ -20,7 +21,6 @@ from repro.metrics.summary import (
     SchemeResult,
     relative_to_reference,
 )
-from repro.traces.networks import link_names
 
 
 # --------------------------------------------------------------------------
@@ -40,8 +40,7 @@ def intro_table(
     the scheme's self-inflicted delay was, averaged over all measured links.
     """
     if results is None:
-        link_list = list(links) if links is not None else link_names()
-        results = run_matrix(INTRO_TABLE_SCHEMES, link_list, config=config, jobs=jobs)
+        results = run_figure7(INTRO_TABLE_SCHEMES, links, config, jobs=jobs).results
     return relative_to_reference(results, reference="Sprout")
 
 
@@ -75,8 +74,7 @@ def ewma_table(
 ) -> List[RelativeComparison]:
     """The introduction's second table, relative to Sprout-EWMA."""
     if results is None:
-        link_list = list(links) if links is not None else link_names()
-        results = run_matrix(EWMA_TABLE_SCHEMES, link_list, config=config, jobs=jobs)
+        results = run_figure7(EWMA_TABLE_SCHEMES, links, config, jobs=jobs).results
     wanted = [r for r in results if r.scheme in EWMA_TABLE_SCHEMES]
     return relative_to_reference(wanted, reference="Sprout-EWMA")
 

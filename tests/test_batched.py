@@ -234,16 +234,10 @@ def crash_index_one(monkeypatch):
     )
 
 
-def _loss_cells(policy: ErrorPolicy):
-    config = RunConfig(
-        duration=4.0, warmup=1.0, error_policy=policy
-    )
-    return [
-        ("Sprout", "AT&T LTE uplink", RunConfig(
-            duration=4.0, warmup=1.0, loss_rate=loss, error_policy=policy
-        ))
-        for loss in (0.0, 0.005, 0.01)
-    ]
+LOSS_CELLS = [
+    ("Sprout", "AT&T LTE uplink", RunConfig(duration=4.0, warmup=1.0, loss_rate=loss))
+    for loss in (0.0, 0.005, 0.01)
+]
 
 
 def test_batched_collect_records_cell_error_in_place(monkeypatch):
@@ -251,11 +245,11 @@ def test_batched_collect_records_cell_error_in_place(monkeypatch):
         "REPRO_FAULT_SPEC", json.dumps([{"kind": "crash", "index": 1}])
     )
     policy = ErrorPolicy(on_error="collect")
-    results = run_cells(_loss_cells(policy), backend="batched")
+    results = run_cells(LOSS_CELLS, policy=policy, backend="batched")
     assert isinstance(results[1], CellError)
     assert results[1].error_type == "InjectedFault"
     monkeypatch.delenv("REPRO_FAULT_SPEC")
-    clean = run_cells(_loss_cells(ErrorPolicy()), backend="batched")
+    clean = run_cells(LOSS_CELLS, backend="batched")
     assert results[0].as_dict() == clean[0].as_dict()
     assert results[2].as_dict() == clean[2].as_dict()
 
@@ -264,7 +258,7 @@ def test_batched_fail_fast_raises(crash_index_one):
     from repro.testing.faults import InjectedFault
 
     with pytest.raises(InjectedFault):
-        run_cells(_loss_cells(ErrorPolicy()), backend="batched")
+        run_cells(LOSS_CELLS, backend="batched")
 
 
 def test_batched_retry_recovers_transient_crash(monkeypatch):
@@ -275,9 +269,9 @@ def test_batched_retry_recovers_transient_crash(monkeypatch):
         json.dumps([{"kind": "crash", "index": 1, "times": 1}]),
     )
     policy = ErrorPolicy(on_error="retry", retries=1)
-    results = run_cells(_loss_cells(policy), backend="batched")
+    results = run_cells(LOSS_CELLS, policy=policy, backend="batched")
     monkeypatch.delenv("REPRO_FAULT_SPEC")
-    clean = run_cells(_loss_cells(ErrorPolicy()), backend="batched")
+    clean = run_cells(LOSS_CELLS, backend="batched")
     assert [r.as_dict() for r in results] == [r.as_dict() for r in clean]
 
 
@@ -285,7 +279,6 @@ def test_cell_timeout_routes_to_pooled_engine():
     """The in-process driver cannot preempt a cell; run_cells must hand
     timeout batches to the pooled fault-tolerant engine instead."""
     policy = ErrorPolicy(on_error="collect", cell_timeout=60.0)
-    cells = _loss_cells(policy)
-    timed = run_cells(cells, backend="batched")
-    plain = run_cells(_loss_cells(ErrorPolicy()), backend="batched")
+    timed = run_cells(LOSS_CELLS, policy=policy, backend="batched")
+    plain = run_cells(LOSS_CELLS, backend="batched")
     assert [r.as_dict() for r in timed] == [r.as_dict() for r in plain]

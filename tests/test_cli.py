@@ -84,6 +84,26 @@ def test_jobs_reaches_every_command_that_runs_several_emulations(monkeypatch, ar
         main(argv + ["--duration", "12", "--warmup", "2", "--jobs", "2"])
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "Sprout", "Verizon LTE downlink"],
+        ["figure", "9"],
+        ["table", "loss"],
+        ["table", "tunnel"],
+        ["sweep", "--param", "loss", "--values", "0"],
+        ["report"],
+    ],
+    ids=["run", "figure", "table-loss", "table-tunnel", "sweep", "report"],
+)
+def test_an_impossible_window_is_a_usage_error_for_every_command(argv, capsys):
+    """The default warm-up is 10 s: ``--duration 8`` used to end in a traceback."""
+    assert main(argv + ["--duration", "8"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"{argv[0]} error: warmup must be within [0, duration)\n"
+    assert captured.out == ""
+
+
 def test_list_command_names_sweep_parameters(capsys):
     assert main(["list"]) == 0
     out = capsys.readouterr().out

@@ -2,12 +2,38 @@
 
 import pytest
 
-from repro.experiments.competing import (
-    render_competing,
-    run_competing_comparison,
-    run_direct,
-    run_tunnelled,
-)
+from repro.experiments.competing import render_competing, run_competing_comparison
+from repro.metrics.flows import EXPORTED_FLOW_FIELDS
+
+#: What the stand-alone Section 5.7 direct and tunnelled scripts (deleted
+#: when the section became two scenario cells) measured at commit 0ebb3f9,
+#: recorded there before any source line changed: ``(duration, warmup) ->
+#: mode -> flow -> (throughput_bps, delay_95_s, flow, packets, bytes)``,
+#: i.e. every measured (``EXPORTED_FLOW_FIELDS``) field.  The scripts never
+#: filled the diagnostic uplink counters, which the cell path does, so those
+#: are not compared.
+PARENT_FLOWS = {
+    (20.0, 5.0): {
+        "direct": {
+            "cubic": (3541600.0, 1.1932035632455218, "cubic", 4427, 6640500),
+            "skype": (649267.2, 0.9799649680580893, "skype", 968, 1217376),
+        },
+        "sprout-tunnel": {
+            "cubic": (2008000.0, 0.23746236031498807, "cubic", 2510, 3765000),
+            "skype": (694811.7333333333, 0.12218310240166227, "skype", 1071, 1302772),
+        },
+    },
+    (30.0, 10.0): {
+        "direct": {
+            "cubic": (3168600.0, 0.8236549200118637, "cubic", 5281, 7921500),
+            "skype": (637392.8, 0.8098617335288358, "skype", 1198, 1593482),
+        },
+        "sprout-tunnel": {
+            "cubic": (1454400.0, 0.2914631503311758, "cubic", 2424, 3636000),
+            "skype": (1138908.8, 0.19407970269312225, "skype", 2212, 2847272),
+        },
+    },
+}
 
 
 @pytest.fixture(scope="module")
@@ -15,15 +41,31 @@ def comparison():
     return run_competing_comparison(duration=30.0, warmup=8.0)
 
 
-def test_direct_run_reports_both_flows():
-    result = run_direct(duration=20.0, warmup=5.0)
+@pytest.mark.parametrize("jobs", [None, 2])
+@pytest.mark.parametrize("window", PARENT_FLOWS, ids=["20s", "30s"])
+def test_cells_measure_what_the_stand_alone_scripts_measured(window, jobs):
+    duration, warmup = window
+    comparison = run_competing_comparison(duration=duration, warmup=warmup, jobs=jobs)
+    measured = {
+        run.mode: {
+            name: tuple(getattr(flow, field) for field in EXPORTED_FLOW_FIELDS)
+            for name, flow in run.flows.items()
+        }
+        for run in (comparison.direct, comparison.tunnelled)
+    }
+    assert measured == PARENT_FLOWS[window]
+
+
+def test_direct_run_reports_both_flows(comparison):
+    result = comparison.direct
     assert set(result.flows) == {"cubic", "skype"}
     assert result.flows["cubic"].throughput_bps > 0
     assert result.flows["skype"].throughput_bps > 0
+    assert result.mode == "direct"
 
 
-def test_tunnelled_run_reports_both_flows():
-    result = run_tunnelled(duration=20.0, warmup=5.0)
+def test_tunnelled_run_reports_both_flows(comparison):
+    result = comparison.tunnelled
     assert set(result.flows) == {"cubic", "skype"}
     assert result.flows["cubic"].throughput_bps > 0
     assert result.flows["skype"].throughput_bps > 0
@@ -43,12 +85,6 @@ def test_tunnel_costs_cubic_some_throughput(comparison):
     direct = comparison.direct.flows["cubic"].throughput_bps
     tunnelled = comparison.tunnelled.flows["cubic"].throughput_bps
     assert tunnelled < direct
-
-
-def test_tunnel_drop_policy_engaged(comparison):
-    # Cubic overruns the forecast-derived limit, so the tunnel's dynamic
-    # queue management must have dropped bulk packets.
-    assert comparison.tunnelled.tunnel_drops > 0
 
 
 def test_change_percent_and_render(comparison):

@@ -49,15 +49,6 @@ from repro.metrics.summary import SchemeResult
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN_CSV = FIXTURES / "golden_grid_export.csv"
 GOLDEN_JSON = FIXTURES / "golden_grid_export.json"
-#: schema-v1 exports written before the per-flow columns existed
-GOLDEN_CSV_V1 = FIXTURES / "golden_grid_export_v1.csv"
-GOLDEN_JSON_V1 = FIXTURES / "golden_grid_export_v1.json"
-#: schema-v2 exports written before the error channel existed
-GOLDEN_CSV_V2 = FIXTURES / "golden_grid_export_v2.csv"
-GOLDEN_JSON_V2 = FIXTURES / "golden_grid_export_v2.json"
-#: schema-v3 exports written before the screening columns existed
-GOLDEN_CSV_V3 = FIXTURES / "golden_grid_export_v3.csv"
-GOLDEN_JSON_V3 = FIXTURES / "golden_grid_export_v3.json"
 
 #: the tiny grid frozen in the golden fixtures
 GOLDEN_SPEC = GridSpec(
@@ -164,64 +155,7 @@ def test_success_rows_leave_error_column_empty(grid_data):
         assert "errors" not in point  # all-green exports carry no error key
 
 
-# ------------------------------------------------- v1 backward compatibility
-
-
-def test_v1_csv_fixture_still_parses():
-    rows = parse_csv(GOLDEN_CSV_V1.read_text())
-    assert rows, "v1 fixture parsed to no rows"
-    for row in rows:
-        assert row["schema_version"] == 1
-        assert "flow_id" not in row  # v1 had no per-flow columns
-        assert isinstance(row["throughput_bps"], float)
-
-
-def test_v1_json_fixture_still_rebuilds_grid_data():
-    payload = parse_json(GOLDEN_JSON_V1.read_text())
-    assert payload["schema_version"] == 1
-    rebuilt = grid_data_from_json(GOLDEN_JSON_V1.read_text())
-    assert rebuilt.spec.parameters == ("loss", "scale")
-    for point in rebuilt.points:
-        for result in point.results:
-            assert result.flows is None
-            assert "flows" not in result.as_dict()
-
-
-def test_v2_csv_fixture_still_parses():
-    rows = parse_csv(GOLDEN_CSV_V2.read_text())
-    assert rows, "v2 fixture parsed to no rows"
-    for row in rows:
-        assert row["schema_version"] == 2
-        assert ERROR_COLUMN not in row  # v2 had no error column
-        assert row["flow_id"] is None  # the golden grid has no per-flow rows
-
-
-def test_v2_json_fixture_still_rebuilds_grid_data():
-    payload = parse_json(GOLDEN_JSON_V2.read_text())
-    assert payload["schema_version"] == 2
-    rebuilt = grid_data_from_json(GOLDEN_JSON_V2.read_text())
-    assert rebuilt.spec.parameters == ("loss", "scale")
-    for point in rebuilt.points:
-        assert point.errors == []  # v2 exports carry no failures
-
-
-def test_v3_csv_fixture_still_parses():
-    rows = parse_csv(GOLDEN_CSV_V3.read_text())
-    assert rows, "v3 fixture parsed to no rows"
-    for row in rows:
-        assert row["schema_version"] == 3
-        assert "screened" not in row  # v3 had no screening columns
-        assert isinstance(row["throughput_bps"], float)
-
-
-def test_v3_json_fixture_still_rebuilds_grid_data():
-    payload = parse_json(GOLDEN_JSON_V3.read_text())
-    assert payload["schema_version"] == 3
-    rebuilt = grid_data_from_json(GOLDEN_JSON_V3.read_text())
-    assert rebuilt.spec.parameters == ("loss", "scale")
-    for point in rebuilt.points:
-        assert point.errors == []
-        assert point.screened_results == []  # v3 exports carry no screened cells
+# ----------------------------------------------- malformed v4 rejections
 
 
 def test_v4_csv_rejects_screened_row_with_flow_section():
@@ -263,25 +197,6 @@ def test_v4_json_rejects_result_marked_screened_with_flow_section():
     result["flows"] = [{"flow_id": 0, "throughput_bps": 1.0}]
     with pytest.raises(ValueError, match="screened"):
         parse_json(json.dumps(payload))
-
-
-def test_v1_v2_v3_v4_goldens_carry_identical_metrics():
-    """The schema bumps are additive: the measured numbers did not move."""
-    v1 = parse_csv(GOLDEN_CSV_V1.read_text())
-    v2 = [
-        row for row in parse_csv(GOLDEN_CSV_V2.read_text()) if row["flow_id"] is None
-    ]
-    v3 = [
-        row for row in parse_csv(GOLDEN_CSV_V3.read_text()) if row["flow_id"] is None
-    ]
-    v4 = [row for row in parse_csv(GOLDEN_CSV.read_text()) if row["flow_id"] is None]
-    assert len(v1) == len(v2) == len(v3) == len(v4)
-    ignored = {"schema_version", *SCREEN_COLUMNS, *FLOW_COLUMNS, ERROR_COLUMN}
-    for rows in zip(v1, v2, v3, v4):
-        stripped = [
-            {k: v for k, v in row.items() if k not in ignored} for row in rows
-        ]
-        assert all(row == stripped[0] for row in stripped[1:])
 
 
 def test_sweep_data_exports_as_one_axis_grid():
@@ -357,7 +272,7 @@ def test_json_export_of_nonfinite_values_stays_strict_rfc8259():
 
     payload = json.loads(text, parse_constant=reject)
     exported = payload["points"][0]["results"][0]
-    assert exported["delay_95_s"] is None  # nan -> null, the v3 convention
+    assert exported["delay_95_s"] is None  # nan -> null
     assert exported["throughput_bps"] == "Infinity"
     assert exported["self_inflicted_delay_s"] == "-Infinity"
 
@@ -396,6 +311,21 @@ def test_parse_rejects_wrong_schema_version(grid_data):
     mutated = "999" + first[len(str(EXPORT_SCHEMA_VERSION)) :]
     with pytest.raises(ValueError, match="schema version"):
         parse_csv("\n".join([header, mutated, rest]))
+
+
+def test_parse_refuses_an_older_schema_version_by_number():
+    """One reader: the repo writes v4 only, and no older file is accepted."""
+    older = GOLDEN_JSON.read_text().replace(
+        f'"schema_version": {EXPORT_SCHEMA_VERSION}', '"schema_version": 3'
+    )
+    with pytest.raises(ValueError, match="unsupported export schema version 3 "):
+        parse_json(older)
+    with pytest.raises(ValueError, match="unsupported export schema version 3 "):
+        grid_data_from_json(json.loads(older))
+    header, *rows = GOLDEN_CSV.read_text().splitlines()
+    older_rows = ["3" + row[len(str(EXPORT_SCHEMA_VERSION)) :] for row in rows]
+    with pytest.raises(ValueError, match="unsupported export schema version 3 "):
+        parse_csv("\n".join([header, *older_rows]) + "\n")
 
 
 def test_parse_csv_rejects_non_export_text():

@@ -19,9 +19,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments.parallel import run_cells, run_matrix, shared_pool
-from repro.experiments.runner import RunConfig
-from repro.experiments.runner import run_matrix as run_matrix_serial
+from repro.experiments.parallel import run_cells, shared_pool
+from repro.experiments.runner import RunConfig, run_scheme_on_link
 from repro.traces.cache import global_cache
 
 pytestmark = pytest.mark.golden
@@ -39,6 +38,15 @@ def run_config(golden) -> RunConfig:
     return RunConfig(**golden["run_config"])
 
 
+@pytest.fixture(scope="module")
+def cells(golden, run_config) -> list:
+    return [
+        (scheme, link, run_config)
+        for scheme in golden["schemes"]
+        for link in golden["links"]
+    ]
+
+
 def test_fixture_shape(golden):
     assert golden["schemes"] and golden["links"]
     expected_cells = len(golden["schemes"]) * len(golden["links"])
@@ -54,32 +62,25 @@ def test_fixture_shape(golden):
         }
 
 
-def test_serial_matrix_reproduces_golden_results_exactly(golden, run_config):
-    results = run_matrix_serial(golden["schemes"], golden["links"], config=run_config)
+def test_serial_matrix_reproduces_golden_results_exactly(golden, cells):
+    results = [run_scheme_on_link(*cell) for cell in cells]
     assert [r.as_dict() for r in results] == golden["results"]
 
 
-def test_parallel_matrix_reproduces_golden_results_exactly(golden, run_config):
-    results = run_matrix(
-        golden["schemes"], golden["links"], config=run_config, jobs=2
-    )
+def test_parallel_matrix_reproduces_golden_results_exactly(golden, cells):
+    results = run_cells(cells, jobs=2)
     assert [r.as_dict() for r in results] == golden["results"]
 
 
-def test_shared_pool_matrix_reproduces_golden_results_exactly(golden, run_config):
+def test_shared_pool_matrix_reproduces_golden_results_exactly(golden, cells):
     with shared_pool(2):
-        results = run_matrix(golden["schemes"], golden["links"], config=run_config)
+        results = run_cells(cells)
     assert [r.as_dict() for r in results] == golden["results"]
 
 
-def test_golden_results_independent_of_trace_cache(golden, run_config, monkeypatch):
+def test_golden_results_independent_of_trace_cache(golden, cells, monkeypatch):
     """With the cache disabled entirely, the physics must not move."""
     cache = global_cache()
     monkeypatch.setattr(cache, "enabled", False)
-    cells = [
-        (scheme, link, run_config)
-        for scheme in golden["schemes"]
-        for link in golden["links"]
-    ]
     results = run_cells(cells, jobs=1)
     assert [r.as_dict() for r in results] == golden["results"]

@@ -14,13 +14,17 @@ import pytest
 
 from repro.baselines.base import AckingReceiver
 from repro.baselines.vegas import VegasSender
-from repro.experiments.parallel import _poolable, default_jobs, run_matrix
+from repro.experiments.parallel import _poolable, default_jobs, run_cells
 from repro.experiments.registry import SchemeSpec, get_scheme
-from repro.experiments.runner import RunConfig
-from repro.experiments.runner import run_matrix as run_matrix_serial
+from repro.experiments.runner import RunConfig, run_scheme_on_link
 
 SCHEMES_2 = ["Vegas", "Skype"]
 LINKS_2 = ["AT&T LTE uplink", "Verizon LTE uplink"]
+
+
+def matrix_cells(schemes, links, config):
+    """The scheme-major, link-minor matrix as explicit cells."""
+    return [(scheme, link, config) for scheme in schemes for link in links]
 
 
 @pytest.fixture(scope="module")
@@ -30,11 +34,15 @@ def tiny_config() -> RunConfig:
 
 @pytest.fixture(scope="module")
 def serial_results(tiny_config):
-    return run_matrix_serial(SCHEMES_2, LINKS_2, config=tiny_config)
+    return [
+        run_scheme_on_link(scheme, link, tiny_config)
+        for scheme in SCHEMES_2
+        for link in LINKS_2
+    ]
 
 
 def test_parallel_matches_serial_bit_identically(tiny_config, serial_results):
-    parallel_results = run_matrix(SCHEMES_2, LINKS_2, config=tiny_config, jobs=4)
+    parallel_results = run_cells(matrix_cells(SCHEMES_2, LINKS_2, tiny_config), jobs=4)
     assert len(parallel_results) == len(serial_results)
     for serial, parallel in zip(serial_results, parallel_results):
         # Same cell in the same position, and exactly equal metrics.
@@ -44,8 +52,8 @@ def test_parallel_matches_serial_bit_identically(tiny_config, serial_results):
 
 def test_parallel_forwards_progress_per_result(tiny_config):
     seen = []
-    results = run_matrix(
-        SCHEMES_2, LINKS_2, config=tiny_config, progress=seen.append, jobs=2
+    results = run_cells(
+        matrix_cells(SCHEMES_2, LINKS_2, tiny_config), progress=seen.append, jobs=2
     )
     assert len(seen) == len(results) == 4
     # Completion order may differ from matrix order, but the same cells
@@ -56,7 +64,7 @@ def test_parallel_forwards_progress_per_result(tiny_config):
 
 
 def test_jobs_one_is_the_serial_path(tiny_config, serial_results):
-    results = run_matrix(SCHEMES_2, LINKS_2, config=tiny_config, jobs=1)
+    results = run_cells(matrix_cells(SCHEMES_2, LINKS_2, tiny_config), jobs=1)
     assert [r.as_dict() for r in results] == [r.as_dict() for r in serial_results]
 
 
@@ -67,11 +75,13 @@ def test_unpicklable_scheme_runs_locally(tiny_config):
     )
     with pytest.raises(Exception):
         pickle.dumps(ad_hoc)
-    results = run_matrix([ad_hoc, "Vegas"], LINKS_2[:1], config=tiny_config, jobs=2)
+    results = run_cells(
+        matrix_cells([ad_hoc, "Vegas"], LINKS_2[:1], tiny_config), jobs=2
+    )
     assert [r.scheme for r in results] == ["Vegas (ad hoc)", "Vegas"]
-    reference = run_matrix_serial(["Vegas"], LINKS_2[:1], config=tiny_config)
-    assert results[0].throughput_bps == reference[0].throughput_bps
-    assert results[1].as_dict() == reference[0].as_dict()
+    reference = run_scheme_on_link("Vegas", LINKS_2[0], tiny_config)
+    assert results[0].throughput_bps == reference.throughput_bps
+    assert results[1].as_dict() == reference.as_dict()
 
 
 def test_poolable_sends_registry_specs_by_name():
@@ -83,7 +93,7 @@ def test_poolable_sends_registry_specs_by_name():
 
 def test_jobs_validation(tiny_config):
     with pytest.raises(ValueError):
-        run_matrix(SCHEMES_2, LINKS_2, config=tiny_config, jobs=-1)
+        run_cells(matrix_cells(SCHEMES_2, LINKS_2, tiny_config), jobs=-1)
 
 
 def test_default_jobs_positive():
@@ -354,9 +364,10 @@ def test_error_mid_batch_cancels_outstanding_builds(cold_models, build_log, erro
 
 def test_pooled_tcp_grid_builds_and_loads_no_model(cold_models, build_log, tiny_config):
     """No cell reads a rate model, so no worker may build or write one."""
-    run_matrix(["Cubic", "Vegas"], LINKS_2, config=tiny_config, jobs=2)
+    cells = matrix_cells(["Cubic", "Vegas"], LINKS_2, tiny_config)
+    run_cells(cells, jobs=2)
     with shared_pool(2):
-        run_matrix(["Cubic", "Vegas"], LINKS_2, config=tiny_config)
+        run_cells(cells)
     assert os.listdir(cold_models) == []
     assert build_log.keys() == []
 

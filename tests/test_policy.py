@@ -128,16 +128,6 @@ def test_cell_key_tracks_cell_content():
     assert cell_key(("Sprout", "AT&T LTE uplink", replace(config, loss_rate=0.01))) != base
 
 
-def test_cell_key_ignores_the_error_policy():
-    """Resume must match a journal written under a different policy."""
-    plain = RunConfig(duration=6.0, warmup=1.0)
-    collecting = replace(
-        plain, error_policy=ErrorPolicy(on_error="collect", retries=2)
-    )
-    cell = ("Sprout", "AT&T LTE uplink", plain)
-    assert cell_key(cell) == cell_key(("Sprout", "AT&T LTE uplink", collecting))
-
-
 def test_cell_key_distinguishes_registry_variants():
     """``sprout_variant`` specs key on their full factory configuration."""
     from repro.experiments.sweeps import SWEEP_PARAMETERS

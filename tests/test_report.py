@@ -19,7 +19,7 @@ import pytest
 from repro.experiments import report
 from repro.experiments.figure1 import render_figure1, run_figure1
 from repro.experiments.figure9 import FIGURE9_LINK, render_figure9, run_figure9
-from repro.experiments.competing import render_competing
+from repro.experiments.competing import competing_cells, render_competing
 from repro.experiments.parallel import shared_pool
 from repro.experiments.policy import cell_key
 from repro.experiments.registry import sprout_with_confidence
@@ -125,18 +125,16 @@ def test_full_report_is_the_golden_text_from_one_deduplicated_batch(work, jobs):
             ReportConfig(**SMALL, jobs=jobs), progress=work.notes.append
         )
     assert text == GOLDEN
-    # 80 matrix + 9 Figure 9 + 6 loss-table cells are 88 distinct ones: the
-    # matrix already holds Figure 9's 95% point and four context schemes on
-    # its link, and the loss table's two 0% cells.
+    # The Section 5.7 pair, then 80 matrix + 9 Figure 9 + 6 loss-table cells
+    # of which 88 are distinct: the matrix already holds Figure 9's 95% point
+    # and four context schemes on its link, and the loss table's two 0% cells.
     (batch,) = work.batches
-    assert len(batch) == len({cell_key(cell) for cell in batch}) == 88
-    assert len(cell_notes(work)) == 88
-    assert [task.func.__name__ for task in work.tasks] == [
-        "_scheme_timeseries",
-        "_scheme_timeseries",
-        "run_direct",
-        "run_tunnelled",
-    ]
+    assert len(batch) == len({cell_key(cell) for cell in batch}) == 2 + 88
+    assert batch[:2] == competing_cells(
+        duration=SMALL["tunnel_duration"], warmup=report.TUNNEL_WARMUP
+    )
+    assert len(cell_notes(work)) == 90
+    assert [task.func.__name__ for task in work.tasks] == ["_scheme_timeseries"] * 2
     assert [n for n in work.notes if not n.startswith("  ")] == TOP_LEVEL_NOTES
     assert multiprocessing.active_children() == []
 
@@ -147,11 +145,12 @@ def test_full_report_is_the_golden_text_from_one_deduplicated_batch(work, jobs):
     [
         (["figure9"], 9, 0),
         (["loss"], 6, 0),
-        (["figure1", "tunnel"], 0, 4),
+        (["figure1"], 0, 2),
+        (["figure1", "tunnel"], 2, 2),
         # 80 + Figure 9's four lower confidences + the four lossy cells
         (["figure7", "figure9", "loss"], 88, 0),
     ],
-    ids=["figure9", "loss", "plain-tasks-only", "matrix+figure9+loss"],
+    ids=["figure9", "loss", "plain-tasks-only", "figure1+tunnel", "matrix+figure9+loss"],
 )
 def test_a_subset_runs_only_its_own_cells(work, include_sections, cells, tasks):
     text = generate_report(
@@ -188,8 +187,17 @@ def test_stand_alone_drivers_print_the_reports_sections(jobs):
 @pytest.mark.parametrize("jobs", [None, 2])
 def test_a_failing_plain_task_propagates_and_leaves_no_worker(jobs):
     config = ReportConfig(**SMALL, jobs=jobs, include_sections=["figure1", "loss", "tunnel"])
+    config.figure1_duration = 0.0  # past the constructor's check
+    with pytest.raises(ValueError, match="duration must be positive"):
+        generate_report(config, progress=None)
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("jobs", [None, 2])
+def test_a_too_short_tunnel_window_fails_with_tasks_queued_and_leaves_no_worker(jobs):
+    config = ReportConfig(**SMALL, jobs=jobs, include_sections=["figure1", "loss", "tunnel"])
     config.tunnel_duration = 8.0  # past the constructor's check: §5.7 warms up for 10 s
-    with pytest.raises(ValueError, match="end_time must be after start_time"):
+    with pytest.raises(ValueError, match="warmup must be within"):
         generate_report(config, progress=None)
     assert multiprocessing.active_children() == []
 
@@ -209,6 +217,12 @@ def test_a_failing_plain_task_propagates_and_leaves_no_worker(jobs):
 def test_report_config_rejects_impossible_windows_by_name(field, overrides):
     with pytest.raises(ValueError, match=f"^{field} must"):
         ReportConfig(**overrides)
+
+
+def test_report_config_rejects_unknown_section_names_with_the_valid_list():
+    with pytest.raises(ValueError, match="^include_sections must .*figure7.*'figure_7'"):
+        ReportConfig(include_sections=["figure7", "figure_7"])
+    assert ReportConfig(include_sections=list(report.SECTIONS)).wants("grids")
 
 
 def test_report_command_reports_a_bad_window_as_a_usage_error(capsys):

@@ -4,7 +4,8 @@ import math
 
 import pytest
 
-from repro.experiments.runner import RunConfig, run_matrix, run_scheme_on_link
+from repro.experiments.parallel import run_cells
+from repro.experiments.runner import RunConfig, run_scheme_on_link
 from repro.experiments.tables import loss_table
 
 
@@ -43,19 +44,19 @@ def test_runs_are_deterministic(short_run_config):
     assert first.self_inflicted_delay_s == pytest.approx(second.self_inflicted_delay_s)
 
 
-def test_run_matrix_covers_all_pairs(short_run_config):
-    results = run_matrix(
-        ["Vegas", "Skype"],
-        ["AT&T LTE uplink", "T-Mobile 3G (UMTS) downlink"],
-        config=short_run_config,
-    )
-    pairs = {(r.scheme, r.link) for r in results}
-    assert len(pairs) == 4
+def test_serial_cells_cover_all_pairs_in_order(short_run_config):
+    pairs = [
+        (scheme, link)
+        for scheme in ("Vegas", "Skype")
+        for link in ("AT&T LTE uplink", "T-Mobile 3G (UMTS) downlink")
+    ]
+    results = run_cells([(scheme, link, short_run_config) for scheme, link in pairs])
+    assert [(r.scheme, r.link) for r in results] == pairs
 
 
-def test_run_matrix_progress_callback(short_run_config):
+def test_serial_cells_progress_callback(short_run_config):
     seen = []
-    run_matrix(["Vegas"], ["AT&T LTE uplink"], config=short_run_config, progress=seen.append)
+    run_cells([("Vegas", "AT&T LTE uplink", short_run_config)], progress=seen.append)
     assert len(seen) == 1
     assert seen[0].scheme == "Vegas"
 
