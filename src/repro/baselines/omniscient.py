@@ -17,7 +17,7 @@ the trace.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -61,7 +61,7 @@ def omniscient_delay(
     propagation_delay: float = DEFAULT_PROPAGATION_DELAY,
     percentile: float = 95.0,
     start_time: float = 0.0,
-    end_time: float = None,
+    end_time: Optional[float] = None,
 ) -> float:
     """The omniscient protocol's 95% end-to-end delay on a trace."""
     schedule = omniscient_schedule(delivery_times, propagation_delay)
@@ -78,7 +78,7 @@ def omniscient_result(
     propagation_delay: float = DEFAULT_PROPAGATION_DELAY,
     mtu_bytes: int = 1500,
     start_time: float = 0.0,
-    end_time: float = None,
+    end_time: Optional[float] = None,
 ) -> OmniscientResult:
     """Throughput and 95% delay of the omniscient protocol on a trace."""
     times = np.asarray(sorted(delivery_times), dtype=float)

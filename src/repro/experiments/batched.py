@@ -308,12 +308,6 @@ def run_indices_batched(
     serial engine, this in-process driver cannot preempt a running cell, so
     ``cell_timeout`` batches are routed to the pooled fault-tolerant engine
     by :func:`~repro.experiments.parallel.run_cells` before reaching here.
-
-    Successful cells share a baseline memo for the trace-only metric
-    baselines (link capacity and the omniscient lower bound): cells on the
-    same delivery trace and measurement window reuse the first cell's
-    values, which are deterministic pure functions of the trace — the memo
-    changes nothing but time.
     """
     from repro.experiments.parallel import _run_cell_serially
 
@@ -332,18 +326,10 @@ def run_indices_batched(
         else:
             groups.setdefault(id(built.forecaster.model), []).append(built)
 
-    baselines: Dict[Tuple, Tuple] = {}
-
     def record_success(cell: _BatchedCell) -> None:
         record(
             cell.index,
-            collect_metrics(
-                cell.sim,
-                cell.scheme_name,
-                cell.link_name,
-                cell.config,
-                baseline_cache=baselines,
-            ),
+            collect_metrics(cell.sim, cell.scheme_name, cell.link_name, cell.config),
         )
 
     def record_failure(cell: _BatchedCell, error: BaseException) -> None:

@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from functools import lru_cache
+from typing import Optional, Tuple, Union
+
+import numpy as np
 
 from repro.baselines.omniscient import omniscient_delay
 from repro.cellsim.cellsim import Cellsim, build_cellsim, cellsim_for_link, traces_for_link
@@ -72,12 +75,31 @@ def run_scheme_on_link(
     return collect_metrics(sim, spec.name, link_spec.name, cfg)
 
 
+@lru_cache(maxsize=16)
+def _trace_baselines(
+    trace_bytes: bytes, propagation_delay: float, start: float, end: float
+) -> Tuple[float, float]:
+    """(link capacity in bit/s, omniscient 95% delay) of one trace and window.
+
+    Both are pure functions of the trace, and a grid's cells share a handful
+    of traces, so they are memoised per process.  The key is the trace's
+    *content* (its float64 bytes; ``link_trace`` hands every cell a fresh
+    copy, so identity would never hit); 16 entries of a ~120 kB LTE trace
+    bound the memo at about 2 MB.
+    """
+    trace = np.frombuffer(trace_bytes, dtype=np.float64).tolist()
+    capacity = link_capacity_bps(trace, start, end)
+    base_delay = omniscient_delay(
+        trace, propagation_delay=propagation_delay, start_time=start, end_time=end
+    )
+    return capacity, base_delay
+
+
 def collect_metrics(
     sim: Cellsim,
     scheme_name: str,
     link_name: str,
     config: RunConfig,
-    baseline_cache: Optional[dict] = None,
 ) -> SchemeResult:
     """Compute the paper's metrics from a finished emulation.
 
@@ -86,12 +108,9 @@ def collect_metrics(
     egress also feeds), the result additionally carries one
     :class:`~repro.metrics.flows.FlowMetrics` per client flow.
 
-    ``baseline_cache`` (used by the batched cross-cell engine) memoizes the
-    trace-only baselines — link capacity and the omniscient delay bound —
-    across cells sharing a delivery trace and measurement window.  Both are
-    deterministic pure functions of the trace, so the memo returns the
-    identical values; the cache entry pins the trace object it was keyed
-    on, so an ``id`` can never be recycled within one batch.
+    The trace-only baselines — link capacity and the omniscient delay bound
+    — come from :func:`_trace_baselines`, computed once per process for each
+    distinct (trace, propagation delay, window) instead of once per cell.
     """
     start = config.warmup
     end = config.duration
@@ -102,23 +121,12 @@ def collect_metrics(
     arrivals = arrivals_from_log(received_log)
     delay_95 = end_to_end_delay_95(arrivals, start, end)
 
-    propagation = sim.path.config.propagation_delay
-    cached = None
-    if baseline_cache is not None:
-        key = (id(sim.forward_trace), propagation, start, end)
-        cached = baseline_cache.get(key)
-    if cached is None:
-        capacity = link_capacity_bps(sim.forward_trace, start, end)
-        base_delay = omniscient_delay(
-            sim.forward_trace,
-            propagation_delay=propagation,
-            start_time=start,
-            end_time=end,
-        )
-        if baseline_cache is not None:
-            baseline_cache[key] = (sim.forward_trace, capacity, base_delay)
-    else:
-        _, capacity, base_delay = cached
+    capacity, base_delay = _trace_baselines(
+        np.asarray(sim.forward_trace, dtype=np.float64).tobytes(),
+        sim.path.config.propagation_delay,
+        start,
+        end,
+    )
     inflicted = self_inflicted_delay(delay_95, base_delay)
 
     flows = None

@@ -88,9 +88,13 @@ def test_invalid_loss_rate_rejected():
 def test_capacity_bytes_counts_opportunities():
     loop = EventLoop()
     pipe = OneWayPipe(loop, [0.1, 0.2, 0.3], lambda p, t: None)
+    loop.run_until(0.15)
+    assert pipe.capacity_bytes == 1 * 1500  # read while the link sleeps
     # Stop before the (looped) trace replays, so exactly 3 opportunities pass.
     loop.run_until(0.35)
     assert pipe.capacity_bytes == 3 * 1500
+    loop.run_until(0.55)  # the second cycle's 0.4 and 0.5
+    assert pipe.capacity_bytes == 5 * 1500
 
 
 def test_directions_are_independent():
