@@ -4,7 +4,7 @@
 PYTHON ?= python
 export PYTHONPATH := src:$(PYTHONPATH)
 
-.PHONY: test test-fast smoke test-fault test-oracle test-live test-chaos cov bench bench-batched bench-analytic bench-e2e bench-workload bench-pair pairs docs-check loc
+.PHONY: test test-fast smoke test-fault test-oracle test-live test-chaos cov bench bench-batched bench-e2e bench-workload bench-pair pairs docs-check loc
 
 ## full suite, including perf benchmarks (the tier-1 gate)
 test:
@@ -47,10 +47,6 @@ bench:
 ## batched cross-cell engine benchmark only (the local record's `batched` section)
 bench-batched:
 	$(PYTHON) -m pytest benchmarks/test_bench_perf.py::test_bench_batched_cells_per_sec -q -s
-
-## analytic screening benchmark only (the local record's `analytic` section)
-bench-analytic:
-	$(PYTHON) -m pytest benchmarks/test_bench_perf.py::test_bench_analytic_screening_rate -q -s
 
 ## the repo benchmark (BENCHMARK.json, bench/README.md): every workload once
 ## plus one traced pass each, written to $(OUT); touches no tracked file

@@ -594,110 +594,6 @@ def test_bench_model_build(tmp_path):
     )
 
 
-#: the 1024-cell grid measured by the analytic-screening benchmark: the
-#: acceptance grid of tests/test_screening_acceptance.py (32 log-spaced
-#: loss rates × 32 log-spaced trace scales of Reno on a noise-free link)
-def _analytic_grid_spec():
-    from repro.traces.channel import ChannelConfig
-    from repro.traces.networks import LinkSpec
-
-    link = LinkSpec(
-        network="Steady 9.6 Mbit/s",
-        direction="downlink",
-        config=ChannelConfig(
-            mean_rate=800.0,
-            volatility=0.0,
-            outage_rate=0.0,
-            fade_depth=0.0,
-            max_rate=4000.0,
-        ),
-        seed=77,
-    )
-    return GridSpec(
-        parameters=("loss", "scale"),
-        values=(
-            tuple(0.001 * (100.0 ** (i / 31.0)) for i in range(32)),
-            tuple(0.25 * (16.0 ** (i / 31.0)) for i in range(32)),
-        ),
-        schemes=("Reno",),
-        links=(link,),
-    )
-
-
-ANALYTIC_CONFIG = RunConfig(duration=5.0, warmup=1.0)
-#: cells actually emulated to measure the simulated rate (rate-based, so a
-#: sample suffices; emulating all 1024 would add minutes for no precision)
-ANALYTIC_SAMPLE_CELLS = 16
-
-
-def test_bench_analytic_screening_rate():
-    """The analytic tier's reason to exist, on the record (docs/analytic.md).
-
-    Predicting a cell must be orders of magnitude cheaper than emulating
-    it: the closed-form predictor sweeps the whole 1024-cell acceptance
-    grid while the emulator is still on its first handful of cells.  The
-    gate requires >= 100x cells/sec — far under the measured ratio, so it
-    only catches the predictor accidentally growing an emulation-sized
-    dependency, not timer noise.
-    """
-    from repro.experiments.analytic import ScreenConfig, plan_screen, predict_cell
-
-    spec = _analytic_grid_spec()
-    cells = expand_grid(spec, ANALYTIC_CONFIG)
-    assert len(cells) == 1024
-
-    for cell in cells[:4]:  # warm import/model caches off the clock
-        predict_cell(*cell)
-    start = time.perf_counter()
-    plan = plan_screen(cells, ScreenConfig())
-    predict_s = time.perf_counter() - start
-    predicted_rate = len(cells) / predict_s
-    assert len(plan.predictions) == len(cells)
-
-    sample = GridSpec(
-        parameters=spec.parameters,
-        values=(spec.values[0][:4], spec.values[1][:4]),
-        schemes=spec.schemes,
-        links=spec.links,
-    )
-    sample_cells = expand_grid(sample, ANALYTIC_CONFIG)
-    assert len(sample_cells) == ANALYTIC_SAMPLE_CELLS
-    run_grid(sample, config=ANALYTIC_CONFIG, backend="batched")  # warm traces
-    start = time.perf_counter()
-    run_grid(sample, config=ANALYTIC_CONFIG, backend="batched")
-    simulate_s = time.perf_counter() - start
-    simulated_rate = len(sample_cells) / simulate_s
-
-    ratio = predicted_rate / simulated_rate
-    assert ratio >= 100, (
-        f"screening only {ratio:.0f}x faster than emulation "
-        f"({predicted_rate:.0f} vs {simulated_rate:.2f} cells/s)"
-    )
-
-    _record(
-        "analytic",
-        {
-            "parameters": list(spec.parameters),
-            "schemes": list(spec.schemes),
-            "links": [link.name for link in spec.links],
-            "grid_cells": len(cells),
-            "duration_s": ANALYTIC_CONFIG.duration,
-            "screened_cells_per_sec": round(predicted_rate, 1),
-            "simulated_sample_cells": len(sample_cells),
-            "simulated_cells_per_sec": round(simulated_rate, 2),
-            "speedup": round(ratio, 1),
-            "screened_fraction": round(
-                plan.n_screened / len(cells), 4
-            ),
-        },
-    )
-    print(
-        f"\nanalytic: predicted {predicted_rate:,.0f} cells/s, emulated "
-        f"{simulated_rate:.2f} cells/s ({ratio:,.0f}x), "
-        f"{plan.n_screened}/{len(cells)} cells screened out"
-    )
-
-
 def test_bench_live_loopback():
     """Real-socket transport throughput/latency (docs/transport.md).
 

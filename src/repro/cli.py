@@ -20,7 +20,7 @@ Commands:
   transport (``repro.transport``, docs/transport.md): Sprout over actual
   UDP datagrams with selective repeat and adaptive RTO, reporting
   throughput and per-packet delay percentiles; results export through the
-  same schema-v4 CSV/JSON stack as simulated sweeps
+  same CSV/JSON export stack as simulated sweeps
 * ``trace``      — generate a synthetic delivery trace file for a modelled link
 * ``list``       — list the available schemes, links, and sweep/grid axes
 """
@@ -32,7 +32,7 @@ import os
 import sys
 from typing import List, Optional
 
-from repro.experiments.analytic import ScreenConfig, render_divergences, validate_grid
+from repro.experiments.analytic import render_divergences, validate_grid
 from repro.experiments.competing import render_competing
 from repro.experiments.figure1 import render_figure1, run_figure1
 from repro.experiments.figure2 import render_figure2, run_figure2
@@ -216,6 +216,16 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.out and not args.export:
         print("--out requires --export (csv or json)", file=sys.stderr)
         return 2
+    if args.tolerance is not None:
+        if not args.validate:
+            print("--tolerance requires --validate", file=sys.stderr)
+            return 2
+        if not 0.0 < args.tolerance < float("inf"):
+            print(
+                f"--tolerance must be a positive finite number, got {args.tolerance}",
+                file=sys.stderr,
+            )
+            return 2
     if args.retries and args.on_error == "fail_fast":
         print(
             "--retries requires --on-error collect or retry "
@@ -248,13 +258,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         # scheme, ...) and bad policy knobs are user errors, not tracebacks.
         print(f"sweep error: {error}", file=sys.stderr)
         return 2
-    screen = None
-    if args.screen:
-        try:
-            screen = ScreenConfig(margin=args.screen_margin)
-        except ValueError as error:
-            print(f"sweep error: {error}", file=sys.stderr)
-            return 2
     # The batched backend runs in-process; don't stand up a worker pool
     # that would never receive a cell.
     with shared_pool(args.jobs if args.backend == "processes" else None):
@@ -264,7 +267,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             jobs=args.jobs,
             policy=policy,
             backend=args.backend,
-            screen=screen,
         )
     print(render_grid(data))
     if len(spec.parameters) > 1 or args.per_flow:
@@ -499,25 +501,6 @@ def build_parser() -> argparse.ArgumentParser:
         "the same PATH, skip cells already completed there",
     )
     sweep_parser.add_argument(
-        "--screen",
-        action="store_true",
-        help="analytic screening: predict every cell with the closed-form "
-        "tier and emulate only cells near the predicted frontier or with "
-        "high model uncertainty; screened-out cells export as predictions "
-        "(schema v4 screened/predicted_* fields; docs/analytic.md)",
-    )
-    sweep_parser.add_argument(
-        "--screen-margin",
-        type=float,
-        default=ScreenConfig.margin,
-        metavar="FRACTION",
-        dest="screen_margin",
-        help="screening dominance margin: a cell is screened out only when "
-        "another cell's predicted throughput beats it by this fraction "
-        "(default %(default)s; larger = more conservative, more cells "
-        "emulated)",
-    )
-    sweep_parser.add_argument(
         "--validate",
         action="store_true",
         help="differential validation: after the run, compare simulated "
@@ -530,8 +513,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         metavar="FRACTION",
-        help="relative-error tolerance for --validate (default: the "
-        "calibrated ORACLE_TOLERANCE, docs/analytic.md)",
+        help="relative-error tolerance for --validate, positive and finite "
+        "(default: the calibrated ORACLE_TOLERANCE, docs/analytic.md)",
     )
     sweep_parser.add_argument(
         "--backend",
@@ -611,7 +594,7 @@ def build_parser() -> argparse.ArgumentParser:
     live_parser.add_argument(
         "--export",
         choices=["csv", "json"],
-        help="also emit the results as schema-v4 CSV or JSON (same stack "
+        help="also emit the results as CSV or JSON (same stack "
         "as `repro sweep`)",
     )
     live_parser.add_argument(

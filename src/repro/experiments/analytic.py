@@ -1,26 +1,18 @@
-"""Analytic screening tier: closed-form predictors, screening, validation.
+"""Closed-form predictors and the differential oracle.
 
-Million-cell grids are intractable if every cell is emulated, but most cells
-are nowhere near the throughput/delay frontier the paper's Figures 7/8 plot.
-This module provides closed-form steady-state predictors — evaluated in
-microseconds instead of the seconds a packet-level emulation costs — and
-wires them into the grid engine two ways (docs/analytic.md):
+Every result the paper reports comes from emulating a cell; this module
+keeps the textbook closed forms beside the emulator as a standing check on
+it (docs/analytic.md).
 
-* **Screening** (:func:`run_grid_screened`, or ``run_grid(screen=...)`` /
-  ``repro sweep --screen``): every cell is predicted analytically, and only
-  cells near the predicted Pareto frontier or with high model uncertainty
-  are emulated.  Screened-out cells land in the grid as
-  :class:`~repro.metrics.summary.ScreenedResult` records carrying the
-  *predicted* metrics, exported with ``screened`` / ``predicted_*`` fields
-  (schema v4) so a reader can never mistake a prediction for a measurement.
 * **Differential validation** (:func:`validate_grid`): simulated Reno/Cubic
-  throughput is compared against the analytic prediction, and structured
+  throughput is compared against the closed-form prediction, and structured
   :class:`Divergence` records — in the in-place reporting style of the
   error-policy layer's :class:`~repro.experiments.policy.CellError` — are
   emitted where relative error exceeds the calibrated tolerance.  This is a
   standing correctness oracle: an accidental change to the AIMD constants,
   the ACK clock, or the loss machinery trips it (``tests/test_analytic_
-  oracle.py``).
+  oracle.py``).  It checks only the oracle-grade regimes, where the
+  response functions are exact enough to police the simulator.
 
 The predictors:
 
@@ -32,8 +24,6 @@ The predictors:
 * :func:`csa_transfer_time` — a Cardwell–Savage–Anderson style model of a
   finite transfer: slow start, the first-loss cost, then PFTK-rate
   congestion avoidance.
-* :func:`queueing_delay_s` — the standing-queue sojourn implied by
-  (link rate, qlimit, aqm) for a buffer-filling loss-based sender.
 * :func:`sprout_forecast_moments` — a moment-closure approximation of the
   Sprout forecast: mean/variance of cumulative delivery under the Brownian
   rate model, instead of the full per-tick CDF tensor.
@@ -48,46 +38,31 @@ silent recalibration.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import List, Optional, Sequence, Tuple
 
 from repro.baselines.base import RttEstimator
-from repro.core.connection import SproutConfig
 from repro.core.rate_model import RateModelParams
-from repro.experiments.competing import competing_scheme_parts
-from repro.experiments.parallel import Cell, CellOutcome, ProgressCallback, run_cells
-from repro.experiments.policy import (
-    ErrorPolicy,
-    cell_link_name,
-    cell_scheme_name,
-    is_cell_error,
-)
-from repro.experiments.registry import SchemeSpec, get_scheme, sprout_variant_config
+from repro.experiments.parallel import Cell
+from repro.experiments.policy import cell_scheme_name, is_cell_error
+from repro.experiments.registry import get_scheme
 from repro.experiments.runner import RunConfig
-from repro.experiments.sweeps import GridData, GridSpec, expand_grid, grid_points
-from repro.metrics.summary import ScreenedResult, SchemeResult, is_screened
+from repro.experiments.sweeps import GridData, expand_grid
 from repro.simulation.delay_box import DEFAULT_PROPAGATION_DELAY
 from repro.simulation.packet import MTU_BYTES
-from repro.simulation.queues import AQM_CODEL, QueueConfig
+from repro.simulation.queues import AQM_CODEL
 from repro.traces.channel import ChannelConfig
 from repro.traces.networks import LinkSpec, get_link
 
 __all__ = [
-    "AnalyticPrediction",
     "Divergence",
     "ORACLE_SCHEMES",
     "ORACLE_TOLERANCE",
-    "ScreenConfig",
-    "ScreenPlan",
     "csa_transfer_time",
     "cubic_throughput_pps",
     "effective_link_rate_pps",
-    "plan_screen",
-    "predict_cell",
-    "queueing_delay_s",
     "render_divergences",
     "reno_throughput_pps",
-    "run_grid_screened",
     "sprout_conservative_rate_pps",
     "sprout_forecast_moments",
     "validate_grid",
@@ -158,6 +133,11 @@ CUBIC_C = 0.4
 CUBIC_BETA = 0.7
 
 
+def _pure_cubic_pps(loss: float, rtt: float, c: float, beta: float) -> float:
+    """The cubic growth curve's deterministic-loss rate, without the floor."""
+    return (c * (3.0 + beta) / (4.0 * (1.0 - beta))) ** 0.25 * rtt**-0.25 * loss**-0.75
+
+
 def cubic_throughput_pps(
     loss: float,
     rtt: float,
@@ -185,7 +165,7 @@ def cubic_throughput_pps(
     window_bound = wmax / rtt
     if loss == 0.0:
         return window_bound
-    cubic = (c * (3.0 + beta) / (4.0 * (1.0 - beta))) ** 0.25 * rtt**-0.25 * loss**-0.75
+    cubic = _pure_cubic_pps(loss, rtt, c, beta)
     friendly = reno_throughput_pps(loss, rtt, b=b, min_rto=min_rto, wmax=wmax)
     return min(window_bound, max(cubic, friendly))
 
@@ -275,37 +255,6 @@ def csa_transfer_time(
     return slow_start_time + first_loss_time + ca_packets / ca_rate
 
 
-# ------------------------------------------------------------ queueing delay
-
-
-def queueing_delay_s(
-    link_rate_pps: float,
-    queue: Optional[QueueConfig] = None,
-    *,
-    use_codel: bool = False,
-    mss: float = MTU_BYTES,
-) -> float:
-    """Standing-queue sojourn (seconds) a buffer-filling sender settles at.
-
-    A loss-based sender with no link loss grows its window until the
-    bottleneck queue pushes back: under CoDel the controller holds the
-    sojourn near its target; under a byte-limited drop-tail buffer the
-    queue fills, so the sojourn is the full buffer's drain time; under the
-    deep (unbounded) drop-tail buffer of the paper's carriers the standing
-    queue grows without bound — returned as ``inf``, which is the honest
-    prediction for the bufferbloat regime.
-    """
-    _require_positive("link_rate_pps", link_rate_pps)
-    resolved = (queue if queue is not None else QueueConfig()).resolve(use_codel=use_codel)
-    if resolved.aqm == AQM_CODEL:
-        # CoDel holds the sojourn a little above target: drops happen only
-        # after the interval has elapsed above it.
-        return resolved.codel_target + resolved.codel_interval / 2.0
-    if resolved.byte_limit is not None:
-        return resolved.byte_limit / (link_rate_pps * mss)
-    return _INF
-
-
 # -------------------------------------------------- Sprout moment closure
 
 
@@ -326,9 +275,7 @@ def sprout_forecast_moments(
     * ``Var[C] = sigma^2 * T^3 / 3 + lambda_0 * T``
 
     — the Brownian integral's variance plus the Poisson packet-count
-    variance around the realised rate.  Outage stickiness is not folded in;
-    its effect lands in the screening tier as prediction *uncertainty*
-    rather than a biased moment.
+    variance around the realised rate.  Outage stickiness is not folded in.
     """
     _require_positive("rate_pps", rate_pps)
     resolved = params if params is not None else RateModelParams()
@@ -365,7 +312,7 @@ def sprout_conservative_rate_pps(
     return cautious / horizon
 
 
-# ------------------------------------------------------------- cell predictor
+# ----------------------------------------------------------------- link model
 
 
 def effective_link_rate_pps(channel: ChannelConfig) -> float:
@@ -384,45 +331,11 @@ def effective_link_rate_pps(channel: ChannelConfig) -> float:
     return channel.mean_rate * fade * duty
 
 
-@dataclass(frozen=True)
-class AnalyticPrediction:
-    """A cell's predicted operating point, with the model's self-assessment.
-
-    ``delay_s`` predicts the *self-inflicted* delay (the frontier metric);
-    ``uncertainty`` in ``[0, 1]`` is the screening tier's confidence
-    complement — cells at or above the screen's threshold are always
-    emulated.  ``model`` names the formula that produced the numbers.
-    """
-
-    throughput_bps: float
-    delay_s: float
-    capacity_bps: float
-    uncertainty: float
-    model: str
-
-
-#: fraction of the mean link rate a buffer-filling scheme is predicted to
-#: achieve (trace burstiness keeps measured utilization below 100%)
-_FILL_FACTOR = 0.95
-
-#: per-regime uncertainty scores (docs/analytic.md's calibration table)
-_UNCERTAINTY = {
-    "loss_limited": 0.25,
-    "loss_limited_volatile": 0.5,
-    "cubic_mode": 0.65,
-    "capacity_limited": 0.5,
-    "codel": 0.55,
-    "buffer_filling": 0.9,
-    "sprout": 0.7,
-    "ewma": 0.8,
-}
-
 #: above this ratio of the pure-cubic term to the TCP-friendly (Reno) term,
 #: CUBIC's real-time window growth leaves the AIMD regime the response
 #: function models well: random loss gaps let the cubic curve balloon far
 #: past the deterministic-loss average (calibration: docs/analytic.md), so
-#: such cells get ``cubic_mode`` uncertainty — always emulated, never
-#: oracle-checked
+#: such cells are never oracle-checked
 CUBIC_FRIENDLY_RATIO = 0.4
 
 
@@ -445,308 +358,49 @@ def _link_rtt_s(link: LinkSpec, rate_pps: float) -> float:
     return 2.0 * propagation + 2.0 / max(rate_pps, 1.0)
 
 
-def predict_cell(
-    scheme: Union[str, SchemeSpec],
-    link: Union[str, LinkSpec],
-    config: Optional[RunConfig] = None,
-) -> Optional[AnalyticPrediction]:
-    """Closed-form prediction for one matrix cell, or ``None``.
-
-    ``None`` means "this cell has no analytic model" — competing-flow
-    scenarios, the videoconference apps, and TCP variants without a
-    published response function (Vegas, Compound, LEDBAT) — and the
-    screening tier always emulates such cells.
-    """
-    spec = get_scheme(scheme) if isinstance(scheme, str) else scheme
-    cfg = config if config is not None else RunConfig()
-    if competing_scheme_parts(spec) is not None:
-        return None
-    link_spec = get_link(link) if isinstance(link, str) else link
-    rate_pps = effective_link_rate_pps(link_spec.config)
-    if rate_pps <= 0:
-        return None
-    capacity_bps = rate_pps * MTU_BYTES * 8.0
-    rtt = _link_rtt_s(link_spec, rate_pps)
-    loss = cfg.loss_rate
-    queue = link_spec.queue
-    if cfg.queue_byte_limit is not None:
-        queue = replace(queue if queue is not None else QueueConfig(), byte_limit=cfg.queue_byte_limit)
-
-    if spec.category == "sprout":
-        sprout_cfg = sprout_variant_config(spec)
-        if sprout_cfg is None:
-            if spec.name == "Sprout":
-                sprout_cfg = SproutConfig()
-            elif spec.name == "Sprout-EWMA":
-                sprout_cfg = SproutConfig(use_ewma=True)
-            else:
-                return None
-        params = sprout_cfg.model_params or RateModelParams()
-        usable = min(rate_pps, params.max_rate)
-        if sprout_cfg.use_ewma:
-            # EWMA tracks the mean rate without a cautious quantile: near-full
-            # throughput, but delay spikes survive a rate crash.
-            tput_pps = _FILL_FACTOR * usable * (1.0 - loss)
-            delay = 2.0 * sprout_cfg.lookahead_ticks * sprout_cfg.tick_interval
-            return AnalyticPrediction(
-                throughput_bps=tput_pps * MTU_BYTES * 8.0,
-                delay_s=delay,
-                capacity_bps=capacity_bps,
-                uncertainty=_UNCERTAINTY["ewma"],
-                model="ewma",
-            )
-        cautious = sprout_conservative_rate_pps(
-            usable, params, confidence=sprout_cfg.confidence
-        )
-        tput_pps = cautious * (1.0 - loss)
-        # Sprout aims its queue occupancy at the lookahead window.
-        delay = sprout_cfg.lookahead_ticks * sprout_cfg.tick_interval
-        return AnalyticPrediction(
-            throughput_bps=tput_pps * MTU_BYTES * 8.0,
-            delay_s=delay,
-            capacity_bps=capacity_bps,
-            uncertainty=_UNCERTAINTY["sprout"],
-            model="moment-closure",
-        )
-
-    if spec.category == "tcp" and spec.name in ("Reno", "Cubic", "Cubic-CoDel"):
-        codel_cell = spec.use_codel or (
-            queue is not None and queue.resolve(use_codel=spec.use_codel).aqm == AQM_CODEL
-        )
-        if loss <= 0.0:
-            delay = queueing_delay_s(rate_pps, queue, use_codel=spec.use_codel)
-            uncertainty = (
-                _UNCERTAINTY["codel"] if codel_cell else _UNCERTAINTY["buffer_filling"]
-            )
-            return AnalyticPrediction(
-                throughput_bps=_FILL_FACTOR * capacity_bps,
-                delay_s=delay,
-                capacity_bps=capacity_bps,
-                uncertainty=uncertainty,
-                model="capacity",
-            )
-        response = reno_throughput_pps if spec.name == "Reno" else cubic_throughput_pps
-        raw_pps = response(loss, rtt)
-        if raw_pps >= rate_pps:
-            # Loss is too light to bind before the link does: back to the
-            # buffer-filling regime, with its queue-shaped delay.
-            delay = queueing_delay_s(rate_pps, queue, use_codel=spec.use_codel)
-            return AnalyticPrediction(
-                throughput_bps=_FILL_FACTOR * capacity_bps,
-                delay_s=delay,
-                capacity_bps=capacity_bps,
-                uncertainty=_UNCERTAINTY["capacity_limited"],
-                model="capacity",
-            )
-        if codel_cell:
-            delay = queueing_delay_s(rate_pps, queue, use_codel=spec.use_codel)
-            uncertainty = _UNCERTAINTY["codel"]
-        else:
-            # Loss-limited: the standing queue is about half the window
-            # beyond the (small) bandwidth-delay product.
-            window = raw_pps * rtt
-            delay = window / (2.0 * rate_pps)
-            uncertainty = _UNCERTAINTY["loss_limited"]
-            if not _channel_steady(link_spec.config):
-                # On a varying channel the deep buffer absorbs loss events
-                # during rate surges, so PFTK/CUBIC underestimate measured
-                # throughput: calibrated-tolerance territory only on steady
-                # links (docs/analytic.md).
-                uncertainty = max(uncertainty, _UNCERTAINTY["loss_limited_volatile"])
-        if spec.name != "Reno":
-            pure_cubic = (
-                (CUBIC_C * (3.0 + CUBIC_BETA) / (4.0 * (1.0 - CUBIC_BETA))) ** 0.25
-                * rtt**-0.25
-                * loss**-0.75
-            )
-            friendly = reno_throughput_pps(loss, rtt)
-            if pure_cubic > CUBIC_FRIENDLY_RATIO * friendly:
-                uncertainty = max(uncertainty, _UNCERTAINTY["cubic_mode"])
-        return AnalyticPrediction(
-            throughput_bps=raw_pps * MTU_BYTES * 8.0,
-            delay_s=delay,
-            capacity_bps=capacity_bps,
-            uncertainty=uncertainty,
-            model="pftk" if spec.name == "Reno" else "cubic",
-        )
-
-    return None
-
-
-# ----------------------------------------------------------------- screening
-
-
-@dataclass(frozen=True)
-class ScreenConfig:
-    """Knobs of the screening heuristic (docs/analytic.md).
-
-    A predicted cell is emulated unless some other predicted cell *strongly*
-    dominates it: at least ``1 + margin`` times its predicted throughput,
-    with a predicted delay no worse than the cell's by more than
-    ``delay_slack_s`` (inside the slack, delays count as tied and the
-    frontier is throughput-driven — the models cannot resolve delay finer
-    than emulation noise reorders it), and a prediction from a *comparable
-    regime* (the capacity model carries a per-link bias that cancels only
-    within-regime, so a capacity prediction may be screened out only by
-    another capacity prediction).  Cells whose prediction carries
-    ``uncertainty >= uncertainty_threshold`` — and cells with no model at
-    all — are always emulated.
-    """
-
-    margin: float = 0.25
-    delay_slack_s: float = 0.02
-    uncertainty_threshold: float = 0.6
-
-    def __post_init__(self) -> None:
-        if self.margin < 0:
-            raise ValueError(f"margin must be non-negative, got {self.margin}")
-        if self.delay_slack_s < 0:
-            raise ValueError(
-                f"delay_slack_s must be non-negative, got {self.delay_slack_s}"
-            )
-        if not 0.0 < self.uncertainty_threshold <= 1.0:
-            raise ValueError(
-                "uncertainty_threshold must be in (0, 1], got "
-                f"{self.uncertainty_threshold}"
-            )
-
-
-@dataclass
-class ScreenPlan:
-    """Which cells of one expanded grid get emulated, and why not the rest."""
-
-    cells: List[Cell]
-    predictions: List[Optional[AnalyticPrediction]]
-    simulate: List[bool]
-
-    @property
-    def n_simulated(self) -> int:
-        return sum(self.simulate)
-
-    @property
-    def n_screened(self) -> int:
-        return len(self.simulate) - self.n_simulated
-
-
-#: models whose cross-scheme comparisons are bias-free (both calibrated
-#: against emulation in the loss-limited regime: docs/analytic.md)
-_COMPARABLE_MODELS = frozenset(("pftk", "cubic"))
-
-
-def _models_comparable(a: str, b: str) -> bool:
-    """May a prediction of model ``a`` screen out one of model ``b``?"""
-    return a == b or (a in _COMPARABLE_MODELS and b in _COMPARABLE_MODELS)
-
-
-def plan_screen(cells: Sequence[Cell], screen: Optional[ScreenConfig] = None) -> ScreenPlan:
-    """Decide per cell: emulate, or trust the analytic prediction.
-
-    Frontier adjacency is judged per link (matching the report's per-link
-    frontier sections): within each link's cell group, a cell is screened
-    out only when another cell's prediction from a comparable regime
-    strongly dominates it under the screen's margins.
-    """
-    cfg = screen if screen is not None else ScreenConfig()
-    cells = list(cells)
-    predictions = [predict_cell(scheme, link, config) for scheme, link, config in cells]
-    simulate = [False] * len(cells)
-    groups: Dict[str, List[int]] = {}
-    for index, (cell, prediction) in enumerate(zip(cells, predictions)):
-        if prediction is None or prediction.uncertainty >= cfg.uncertainty_threshold:
-            simulate[index] = True
-        else:
-            groups.setdefault(cell_link_name(cell[1]), []).append(index)
-    for indices in groups.values():
-        tputs = [predictions[i].throughput_bps for i in indices]
-        delays = [predictions[i].delay_s for i in indices]
-        models = [predictions[i].model for i in indices]
-        for position, index in enumerate(indices):
-            tput, delay, model = tputs[position], delays[position], models[position]
-            strongly_dominated = any(
-                tputs[other] >= tput * (1.0 + cfg.margin)
-                and delays[other] <= delay + cfg.delay_slack_s
-                and _models_comparable(models[other], model)
-                for other in range(len(indices))
-                if other != position
-            )
-            if not strongly_dominated:
-                simulate[index] = True
-    return ScreenPlan(cells=cells, predictions=predictions, simulate=simulate)
-
-
-def _screened_result(cell: Cell, prediction: AnalyticPrediction) -> ScreenedResult:
-    """The grid record standing in for a screened-out (unemulated) cell."""
-    scheme, link, _ = cell
-    link_spec = get_link(link) if isinstance(link, str) else link
-    propagation = (
-        link_spec.propagation_delay
-        if link_spec.propagation_delay is not None
-        else DEFAULT_PROPAGATION_DELAY
-    )
-    utilization = (
-        prediction.throughput_bps / prediction.capacity_bps
-        if prediction.capacity_bps > 0
-        else 0.0
-    )
-    return ScreenedResult(
-        scheme=cell_scheme_name(scheme),
-        link=cell_link_name(link),
-        throughput_bps=prediction.throughput_bps,
-        delay_95_s=prediction.delay_s + propagation,
-        self_inflicted_delay_s=prediction.delay_s,
-        utilization=min(1.0, utilization),
-        capacity_bps=prediction.capacity_bps,
-        omniscient_delay_95_s=propagation,
-        prediction_uncertainty=prediction.uncertainty,
-    )
-
-
-def run_grid_screened(
-    spec: GridSpec,
-    config: Optional[RunConfig] = None,
-    progress: Optional[ProgressCallback] = None,
-    jobs: Optional[int] = None,
-    policy: Optional[ErrorPolicy] = None,
-    backend: str = "processes",
-    screen: Union[ScreenConfig, bool, None] = None,
-) -> GridData:
-    """Run a grid with analytic screening (``run_grid(screen=...)``'s engine).
-
-    Every cell is predicted; only the cells :func:`plan_screen` selects are
-    emulated (through the ordinary cell runner, so ``jobs`` / ``policy`` /
-    ``backend`` behave exactly as in an unscreened run and the emulated
-    cells' results are bit-identical to an unscreened run's).  Screened-out
-    cells appear as :class:`~repro.metrics.summary.ScreenedResult` records
-    in their cell positions; ``progress`` fires for emulated cells only.
-    """
-    cells = expand_grid(spec, config)
-    # ``screen=True`` (or any non-config truthy) means "screen with defaults".
-    screen_config = screen if isinstance(screen, ScreenConfig) else ScreenConfig()
-    plan = plan_screen(cells, screen_config)
-    selected = [cell for cell, simulate in zip(cells, plan.simulate) if simulate]
-    outcomes = run_cells(
-        selected,
-        progress=progress,
-        jobs=jobs,
-        policy=policy,
-        backend=backend,
-    )
-    merged: List[CellOutcome] = []
-    iterator = iter(outcomes)
-    for cell, simulate, prediction in zip(cells, plan.simulate, plan.predictions):
-        if simulate:
-            merged.append(next(iterator))
-        else:
-            assert prediction is not None  # plan_screen simulates None-model cells
-            merged.append(_screened_result(cell, prediction))
-    return GridData(spec=spec, points=grid_points(spec, merged))
-
-
 # ------------------------------------------------------ differential validation
 
 #: schemes the differential oracle covers: the two TCP baselines with a
 #: published closed-form response function
 ORACLE_SCHEMES = ("Reno", "Cubic")
+
+
+def _oracle_throughput_bps(cell: Cell) -> Optional[float]:
+    """The PFTK/CUBIC throughput of an oracle-grade cell, else ``None``.
+
+    Oracle-grade means the regime the response functions model well enough
+    to police the simulator (docs/analytic.md): a Reno or Cubic sender, a
+    non-zero loss rate that binds below the link rate, a drop-tail queue,
+    and a steady channel (on a varying one the deep buffer absorbs loss
+    events during rate surges, so PFTK/CUBIC underestimate the measured
+    throughput).  Cubic must also sit in its TCP-friendly region
+    (:data:`CUBIC_FRIENDLY_RATIO`).
+    """
+    scheme, link, config = cell
+    spec = get_scheme(scheme) if isinstance(scheme, str) else scheme
+    if spec.category != "tcp" or spec.name not in ORACLE_SCHEMES:
+        return None
+    link_spec = get_link(link) if isinstance(link, str) else link
+    loss = (config if config is not None else RunConfig()).loss_rate
+    if loss <= 0.0 or not _channel_steady(link_spec.config):
+        return None
+    queue = link_spec.queue
+    if spec.use_codel or (queue is not None and queue.aqm == AQM_CODEL):
+        return None
+    rate_pps = effective_link_rate_pps(link_spec.config)
+    rtt = _link_rtt_s(link_spec, rate_pps)
+    if spec.name == "Reno":
+        pps = reno_throughput_pps(loss, rtt)
+    else:
+        pure_cubic = _pure_cubic_pps(loss, rtt, CUBIC_C, CUBIC_BETA)
+        if pure_cubic > CUBIC_FRIENDLY_RATIO * reno_throughput_pps(loss, rtt):
+            return None
+        pps = cubic_throughput_pps(loss, rtt)
+    if pps >= rate_pps:
+        # Loss too light to bind before the link does: capacity-limited.
+        return None
+    return pps * MTU_BYTES * 8.0
+
 
 #: calibrated relative-error tolerance for simulated-vs-predicted throughput
 #: in oracle-grade regimes (loss-limited, uncapped steady link, and for
@@ -757,9 +411,6 @@ ORACLE_SCHEMES = ("Reno", "Cubic")
 #: Reno additive-increase constant (ALPHA 1.0 -> 0.15, throughput scaling
 #: ~sqrt(ALPHA), ~61% error) still trips.  Per-cell table: docs/analytic.md.
 ORACLE_TOLERANCE = 0.25
-
-#: predictions at/above this uncertainty are outside the oracle's mandate
-_ORACLE_UNCERTAINTY_CAP = 0.5
 
 
 @dataclass(frozen=True)
@@ -811,18 +462,17 @@ def validate_grid(
 ) -> List[Divergence]:
     """Differential validation: simulated TCP throughput vs the prediction.
 
-    Checks every emulated Reno/Cubic cell in an *oracle-grade* regime —
-    non-zero loss (so the cell is loss-limited, the regime PFTK/CUBIC
-    model) with prediction uncertainty under the oracle cap — against the
-    closed-form prediction, and returns one :class:`Divergence` per cell
-    whose relative throughput error exceeds ``tolerance``
-    (:data:`ORACLE_TOLERANCE` by default).  ``config`` must be the
+    Checks every emulated cell of ``schemes`` in an *oracle-grade* regime
+    (:func:`_oracle_throughput_bps`) against the closed-form prediction,
+    and returns one :class:`Divergence` per cell whose relative throughput
+    error exceeds ``tolerance`` (:data:`ORACLE_TOLERANCE` by default; it
+    must be a positive finite number).  ``config`` must be the
     ``RunConfig`` the grid was run with (the expansion is re-derived from
     the spec, exactly as ``run_grid`` derived it).
     """
     tol = tolerance if tolerance is not None else ORACLE_TOLERANCE
-    if tol <= 0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
+    if not 0.0 < tol < _INF:
+        raise ValueError(f"tolerance must be a positive finite number, got {tol}")
     cells = expand_grid(data.spec, config)
     divergences: List[Divergence] = []
     index = 0
@@ -830,21 +480,12 @@ def validate_grid(
         for row in point.results:
             cell = cells[index]
             index += 1
-            if is_cell_error(row) or is_screened(row):
+            if is_cell_error(row) or cell_scheme_name(cell[0]) not in schemes:
                 continue
-            scheme, _, cell_config = cell
-            if cell_scheme_name(scheme) not in schemes:
+            predicted = _oracle_throughput_bps(cell)
+            if predicted is None:
                 continue
-            if cell_config is None or cell_config.loss_rate <= 0.0:
-                continue
-            prediction = predict_cell(*cell)
-            if prediction is None or prediction.uncertainty >= _ORACLE_UNCERTAINTY_CAP:
-                continue
-            if prediction.throughput_bps <= 0:
-                continue
-            relative = abs(row.throughput_bps - prediction.throughput_bps) / (
-                prediction.throughput_bps
-            )
+            relative = abs(row.throughput_bps - predicted) / predicted
             if relative > tol:
                 divergences.append(
                     Divergence(
@@ -853,7 +494,7 @@ def validate_grid(
                         label=point.label,
                         metric="throughput_bps",
                         simulated=row.throughput_bps,
-                        predicted=prediction.throughput_bps,
+                        predicted=predicted,
                         relative_error=relative,
                         tolerance=tol,
                     )

@@ -10,20 +10,14 @@ column-by-column / key-by-key in ``docs/scenarios.md``:
   metrics — one row per ``(cell, flow)``.  The first column is
   ``schema_version``, then one column per grid axis (named after the axis,
   in grid order), then ``scheme``, ``link``, the metric columns of
-  :data:`METRIC_COLUMNS`, (schema v4) the screening columns of
-  :data:`SCREEN_COLUMNS`, the per-flow columns of :data:`FLOW_COLUMNS`,
-  and (schema v3) the trailing ``error`` column.  Aggregate rows leave the
+  :data:`METRIC_COLUMNS`, the per-flow columns of :data:`FLOW_COLUMNS`,
+  and the trailing ``error`` column.  Aggregate rows leave the
   flow columns empty; per-flow rows leave the aggregate metric columns
   empty (the discriminator is ``flow_id``); a *failed* cell — a
   :class:`~repro.experiments.policy.CellError` collected under the
   ``collect``/``retry`` error policies (docs/robustness.md) — exports one
   row with every metric empty and ``error`` holding
-  ``"ErrorType: message"``.  A *screened* cell — an analytic prediction
-  standing in for an emulation (docs/analytic.md) — exports one row with
-  every measured metric empty, ``screened = 1``, and the prediction in the
-  ``predicted_*`` / ``prediction_uncertainty`` columns; measured aggregate
-  rows carry ``screened = 0``, so a reader can never mistake a prediction
-  for a measurement.  Floats are written with ``repr`` (shortest
+  ``"ErrorType: message"``.  Floats are written with ``repr`` (shortest
   round-trip form), so parsing the CSV back recovers bit-identical values —
   including non-finite ones, which ``repr`` writes as ``nan`` / ``inf`` /
   ``-inf`` and ``float()`` reads straight back.
@@ -31,24 +25,17 @@ column-by-column / key-by-key in ``docs/scenarios.md``:
   (parameters, per-axis values, schemes, links), then one entry per grid
   point with its coordinates (keyed by axis name), the complete
   :class:`~repro.metrics.summary.SchemeResult` dictionaries of its
-  successful cells (including the optional per-flow ``flows`` list), —
-  schema v3, only when the point had failures — an ``errors`` list of
-  structured :class:`~repro.experiments.policy.CellError` records, each
-  carrying the ``index`` of its cell within the point so the interleaved
-  cell order reconstructs exactly, and — schema v4, only when the grid was
-  screened — a ``screened`` list of
-  :class:`~repro.metrics.summary.ScreenedResult` records with the same
-  ``index`` convention.
+  successful cells (including the optional per-flow ``flows`` list), and —
+  only when the point had failures — an ``errors`` list of structured
+  :class:`~repro.experiments.policy.CellError` records, each carrying the
+  ``index`` of its cell within the point so the interleaved cell order
+  reconstructs exactly.
 
 Both directions are covered: :func:`parse_csv` / :func:`parse_json` read a
-current (v4) export back — any other ``schema_version`` is refused by
+current (v5) export back — any other ``schema_version`` is refused by
 number — and :func:`grid_data_from_json` rebuilds a full ``GridData``
-(failed cells come back as ``CellError`` outcomes, screened cells as
-``ScreenedResult`` records, each in its original position); the round-trip
-is exact (``tests/test_exports.py``).  A v4 file that marks a row/record
-*both* screened and per-flow is self-contradictory — screened cells were
-never emulated, so they cannot have measured flows — and is rejected rather
-than silently merged.
+(failed cells come back as ``CellError`` outcomes in their original
+positions); the round-trip is exact (``tests/test_exports.py``).
 """
 
 from __future__ import annotations
@@ -57,15 +44,15 @@ import csv
 import io
 import json
 from dataclasses import fields
-from typing import Dict, List, Sequence, Union
+from typing import Dict, List, Union
 
 from repro.experiments.policy import CellError, is_cell_error
 from repro.experiments.sweeps import GridData, GridPoint, GridSpec
 from repro.metrics.flows import FlowMetrics
-from repro.metrics.summary import SchemeResult, ScreenedResult, is_screened
+from repro.metrics.summary import SchemeResult
 
 #: bump when a column/key is added, removed, or changes meaning
-EXPORT_SCHEMA_VERSION = 4
+EXPORT_SCHEMA_VERSION = 5
 
 #: schema versions :func:`parse_csv` / :func:`parse_json` understand
 SUPPORTED_SCHEMA_VERSIONS = (EXPORT_SCHEMA_VERSION,)
@@ -82,25 +69,14 @@ METRIC_COLUMNS: List[str] = [
     "omniscient_delay_95_s",
 ]
 
-#: screening columns of the CSV export (schema v4), after the metric
-#: columns: ``screened`` is 1 on a predicted (never-emulated) row, 0 on a
-#: measured aggregate row, empty on flow/error rows; the ``predicted_*`` /
-#: ``prediction_uncertainty`` columns are set only when ``screened`` is 1
-SCREEN_COLUMNS: List[str] = [
-    "screened",
-    "predicted_throughput_bps",
-    "predicted_delay_s",
-    "prediction_uncertainty",
-]
-
-#: per-flow columns of the CSV export (schema v2), after the metric columns
+#: per-flow columns of the CSV export, after the metric columns
 FLOW_COLUMNS: List[str] = [
     "flow_id",
     "flow_throughput_bps",
     "flow_delay_95_s",
 ]
 
-#: the trailing failure column of the CSV export (schema v3): empty on
+#: the trailing failure column of the CSV export: empty on
 #: success rows, ``"ErrorType: message"`` on a failed cell's row
 ERROR_COLUMN = "error"
 
@@ -115,7 +91,6 @@ def csv_columns(spec: GridSpec) -> List[str]:
         "scheme",
         "link",
         *METRIC_COLUMNS,
-        *SCREEN_COLUMNS,
         *FLOW_COLUMNS,
         ERROR_COLUMN,
     ]
@@ -124,14 +99,11 @@ def csv_columns(spec: GridSpec) -> List[str]:
 def export_rows(grid: GridData) -> List[Dict[str, object]]:
     """The tidy long-format rows of an export.
 
-    One aggregate row per measured cell (flow columns ``None``,
-    ``screened = 0``) followed by one per-flow row per flow the cell
-    recorded (aggregate metric columns ``None``, flow columns set) — row
-    kind is discriminated by ``flow_id``.  A failed cell contributes one
-    row with every metric and flow column ``None`` and the ``error`` column
-    set.  A screened cell (docs/analytic.md) contributes one row with every
-    measured metric ``None``, ``screened = 1``, and the prediction in the
-    ``predicted_*`` / ``prediction_uncertainty`` columns.
+    One aggregate row per measured cell (flow columns ``None``) followed
+    by one per-flow row per flow the cell recorded (aggregate metric
+    columns ``None``, flow columns set) — row kind is discriminated by
+    ``flow_id``.  A failed cell contributes one row with every metric and
+    flow column ``None`` and the ``error`` column set.
     """
     rows: List[Dict[str, object]] = []
     for point in grid.points:
@@ -142,37 +114,21 @@ def export_rows(grid: GridData) -> List[Dict[str, object]]:
             base["link"] = result.link
             if is_cell_error(result):
                 failed = dict(base)
-                for column in (*METRIC_COLUMNS, *SCREEN_COLUMNS, *FLOW_COLUMNS):
+                for column in (*METRIC_COLUMNS, *FLOW_COLUMNS):
                     failed[column] = None
                 failed[ERROR_COLUMN] = result.summary
                 rows.append(failed)
                 continue
-            if is_screened(result):
-                screened = dict(base)
-                for column in METRIC_COLUMNS:
-                    screened[column] = None
-                screened["screened"] = 1
-                screened["predicted_throughput_bps"] = result.throughput_bps
-                screened["predicted_delay_s"] = result.self_inflicted_delay_s
-                screened["prediction_uncertainty"] = result.prediction_uncertainty
-                for column in FLOW_COLUMNS:
-                    screened[column] = None
-                screened[ERROR_COLUMN] = None
-                rows.append(screened)
-                continue
             aggregate = dict(base)
             for column in METRIC_COLUMNS:
                 aggregate[column] = getattr(result, column)
-            aggregate["screened"] = 0
-            for column in SCREEN_COLUMNS[1:]:
-                aggregate[column] = None
             for column in FLOW_COLUMNS:
                 aggregate[column] = None
             aggregate[ERROR_COLUMN] = None
             rows.append(aggregate)
             for flow in result.flows or []:
                 flow_row = dict(base)
-                for column in (*METRIC_COLUMNS, *SCREEN_COLUMNS):
+                for column in METRIC_COLUMNS:
                     flow_row[column] = None
                 flow_row["flow_id"] = flow.flow
                 flow_row["flow_throughput_bps"] = flow.throughput_bps
@@ -241,13 +197,12 @@ def export_json(grid: GridData) -> str:
 
 
 def _point_payload(point: GridPoint) -> Dict[str, object]:
-    """One JSON point: coordinates, results, failures, screening.
+    """One JSON point: coordinates, results, failures.
 
-    ``errors`` is present only when the point had failures, and
-    ``screened`` only when the grid was run under analytic screening
-    (docs/analytic.md).  Each error/screened record carries the ``index``
-    of its cell within the point's interleaved outcome order, which lets
-    :func:`grid_data_from_json` put it back in its original position.
+    ``errors`` is present only when the point had failures.  Each error
+    record carries the ``index`` of its cell within the point's interleaved
+    outcome order, which lets :func:`grid_data_from_json` put it back in its
+    original position.
     """
     payload: Dict[str, object] = {
         "coordinates": dict(zip(point.parameters, point.coordinates)),
@@ -260,13 +215,6 @@ def _point_payload(point: GridPoint) -> Dict[str, object]:
     ]
     if errors:
         payload["errors"] = errors
-    screened = [
-        {**outcome.as_dict(), "index": index}
-        for index, outcome in enumerate(point.results)
-        if is_screened(outcome)
-    ]
-    if screened:
-        payload["screened"] = screened
     return payload
 
 
@@ -289,38 +237,6 @@ def write_export(data: GridData, fmt: str, path: str) -> None:
 # ----------------------------------------------------------------- parsing
 
 
-def _check_prediction_bounds(
-    uncertainty: object, throughput: object, where: str
-) -> None:
-    """Reject out-of-domain v4 prediction values at parse time.
-
-    ``prediction_uncertainty`` is a confidence complement in ``[0, 1]`` by
-    construction and a predicted throughput cannot be negative; a value
-    outside its domain means the export was corrupted or hand-edited, the
-    same class of defect as the screened/per-flow contradiction.  ``None``
-    (missing) and nan (serialised missing) pass — only finite out-of-range
-    numbers are contradictions.
-    """
-    if (
-        isinstance(uncertainty, (int, float))
-        and uncertainty == uncertainty
-        and not 0.0 <= uncertainty <= 1.0
-    ):
-        raise ValueError(
-            f"malformed v4 export: {where} carries "
-            f"prediction_uncertainty={uncertainty!r} outside [0, 1]"
-        )
-    if (
-        isinstance(throughput, (int, float))
-        and throughput == throughput
-        and throughput < 0.0
-    ):
-        raise ValueError(
-            f"malformed v4 export: {where} carries a negative "
-            f"predicted throughput ({throughput!r} bps)"
-        )
-
-
 def parse_csv(text: str) -> List[Dict[str, object]]:
     """Parse a CSV export back into typed rows (exact float round-trip).
 
@@ -328,16 +244,9 @@ def parse_csv(text: str) -> List[Dict[str, object]]:
     int, ``scheme``/``link`` as strings; ``flow_id`` is a string (``None``
     on aggregate rows) and empty metric cells come back as ``None``; the
     trailing ``error`` column is a string on a failed cell's row, ``None``
-    otherwise; ``screened`` is an int (1 on a predicted row, 0 on a
-    measured aggregate row, ``None`` on flow/error rows) and the
-    ``predicted_*`` / ``prediction_uncertainty`` columns are floats or
-    ``None``.
-    Raises ``ValueError`` on a schema version this code does not
-    understand, on a self-contradictory v4 row that is both screened
-    and per-flow (a screened cell was never emulated, so it cannot carry a
-    measured flow section), and on v4 prediction values outside their
-    domain (``prediction_uncertainty`` not in ``[0, 1]``, negative
-    ``predicted_throughput_bps``).
+    otherwise.  Raises ``ValueError`` on a schema version this code does
+    not understand and on a row whose field count differs from the
+    header's.
     """
     reader = csv.reader(io.StringIO(text))
     try:
@@ -363,74 +272,24 @@ def parse_csv(text: str) -> List[Dict[str, object]]:
                 row[column] = value
             elif column in ("flow_id", ERROR_COLUMN):
                 row[column] = value if value != "" else None
-            elif column == "screened":
-                row[column] = int(value) if value != "" else None
-            elif (
-                column in METRIC_COLUMNS
-                or column in FLOW_COLUMNS
-                or column in SCREEN_COLUMNS
-            ):
+            elif column in METRIC_COLUMNS or column in FLOW_COLUMNS:
                 row[column] = float(value) if value != "" else None
             else:
                 row[column] = float(value)  # a grid-axis coordinate
-        if row.get("screened") == 1 and row.get("flow_id") is not None:
-            raise ValueError(
-                f"malformed v4 export: line {line} marks a screened "
-                "(never-emulated) cell but carries a per-flow section "
-                f"(flow_id={row['flow_id']!r}); refusing to merge "
-                "predictions with measurements"
-            )
-        _check_prediction_bounds(
-            row.get("prediction_uncertainty"),
-            row.get("predicted_throughput_bps"),
-            f"line {line}",
-        )
         rows.append(row)
     return rows
 
 
 def parse_json(text: str) -> dict:
-    """Parse a JSON export, validating its schema version.
-
-    v4 payloads are additionally checked for the screened/per-flow
-    contradiction (a never-emulated cell carrying measured flows) and for
-    out-of-domain prediction values (``prediction_uncertainty`` not in
-    ``[0, 1]``, negative predicted throughput), so a malformed export
-    fails at parse time rather than deep inside
-    :func:`grid_data_from_json`.
-    """
+    """Parse a JSON export, validating its schema version and kind."""
     payload = json.loads(text)
     _check_schema_version(payload.get("schema_version"))
     if payload.get("kind") != "grid":
         raise ValueError(f"not a grid export: kind={payload.get('kind')!r}")
-    for point in payload.get("points") or []:
-        for record in point.get("screened") or []:
-            if record.get("flows"):
-                raise ValueError(
-                    "malformed v4 export: a screened (never-emulated) record "
-                    f"for scheme={record.get('scheme')!r} "
-                    f"link={record.get('link')!r} carries a per-flow section; "
-                    "refusing to merge predictions with measurements"
-                )
-            _check_prediction_bounds(
-                record.get("prediction_uncertainty"),
-                record.get("throughput_bps"),
-                f"a screened record for scheme={record.get('scheme')!r} "
-                f"link={record.get('link')!r}",
-            )
-        for record in point.get("results") or []:
-            if record.get("screened") and record.get("flows"):
-                raise ValueError(
-                    "malformed v4 export: a result marked screened for "
-                    f"scheme={record.get('scheme')!r} "
-                    f"link={record.get('link')!r} carries a per-flow section; "
-                    "refusing to merge predictions with measurements"
-                )
     return payload
 
 
 _RESULT_FIELDS = {f.name for f in fields(SchemeResult)}
-_SCREENED_FIELDS = {f.name for f in fields(ScreenedResult)}
 
 
 def _check_schema_version(version: object) -> int:
@@ -449,7 +308,6 @@ _RESULT_FLOAT_FIELDS = {
 _FLOW_FLOAT_FIELDS = {
     f.name for f in fields(FlowMetrics) if f.type in ("float", float)
 }
-_SCREENED_FLOAT_FIELDS = _RESULT_FLOAT_FIELDS | {"prediction_uncertainty"}
 
 
 #: JSON stand-ins for non-finite floats (see :func:`_jsonable`); nan's
@@ -474,13 +332,6 @@ _MISSING = object()
 
 
 def _result_from_dict(row: Dict[str, object]) -> SchemeResult:
-    if row.get("screened") and row.get("flows"):
-        raise ValueError(
-            "malformed v4 export: a result marked screened for "
-            f"scheme={row.get('scheme')!r} link={row.get('link')!r} "
-            "carries a per-flow section; refusing to merge predictions "
-            "with measurements"
-        )
     data = _restore_floats(
         {k: v for k, v in row.items() if k in _RESULT_FIELDS}, _RESULT_FLOAT_FIELDS
     )
@@ -492,57 +343,20 @@ def _result_from_dict(row: Dict[str, object]) -> SchemeResult:
     return SchemeResult(**data)  # type: ignore[arg-type]
 
 
-def _screened_from_dict(record: Dict[str, object]) -> ScreenedResult:
-    """Rebuild one v4 ``screened`` record as a :class:`ScreenedResult`.
-
-    A screened cell was never emulated, so a record that nonetheless
-    carries a populated per-flow section is self-contradictory — it would
-    silently merge predictions with measurements — and is rejected.
-    """
-    if record.get("flows"):
-        raise ValueError(
-            "malformed v4 export: a screened (never-emulated) record for "
-            f"scheme={record.get('scheme')!r} link={record.get('link')!r} "
-            "carries a per-flow section; refusing to merge predictions "
-            "with measurements"
-        )
-    _check_prediction_bounds(
-        record.get("prediction_uncertainty"),
-        record.get("throughput_bps"),
-        f"a screened record for scheme={record.get('scheme')!r} "
-        f"link={record.get('link')!r}",
-    )
-    data = _restore_floats(
-        {k: v for k, v in record.items() if k in _SCREENED_FIELDS},
-        _SCREENED_FLOAT_FIELDS,
-    )
-    data.pop("flows", None)
-    return ScreenedResult(**data)  # type: ignore[arg-type]
-
-
 def _point_outcomes(entry: Dict[str, object]) -> List[object]:
     """One point's interleaved cell outcomes from its JSON entry.
 
-    Successful results are re-slotted around the ``errors`` and
-    ``screened`` records using each record's ``index``, so the rebuilt
-    point preserves the original cell order exactly.
+    Successful results are re-slotted around the ``errors`` records using
+    each record's ``index``, so the rebuilt point preserves the original
+    cell order exactly.
     """
     results = [_result_from_dict(row) for row in entry["results"]]
     errors = entry.get("errors") or []
-    screened = entry.get("screened") or []
-    if not errors and not screened:
+    if not errors:
         return results
-    outcomes: List[object] = [None] * (len(results) + len(errors) + len(screened))
+    outcomes: List[object] = [None] * (len(results) + len(errors))
     for record in errors:
         outcomes[record["index"]] = CellError.from_dict(record)
-    for record in screened:
-        index = record["index"]
-        if outcomes[index] is not None:
-            raise ValueError(
-                f"malformed v4 export: cell index {index} appears in both "
-                "the errors and screened lists of one point"
-            )
-        outcomes[index] = _screened_from_dict(record)
     iterator = iter(results)
     for index, slot in enumerate(outcomes):
         if slot is None:
@@ -555,10 +369,9 @@ def grid_data_from_json(payload: Union[str, dict]) -> GridData:
 
     The reconstruction is exact: every ``SchemeResult`` field (including
     the ``extra`` counters and the optional per-flow list) round-trips
-    bit-identically, failure records come back as
-    :class:`~repro.experiments.policy.CellError` outcomes, and
-    screening records as :class:`~repro.metrics.summary.ScreenedResult`
-    predictions, each in its original cell position — so downstream
+    bit-identically and failure records come back as
+    :class:`~repro.experiments.policy.CellError` outcomes, each in its
+    original cell position — so downstream
     analysis (frontiers, tables, failure reports, differential
     validation) can run from an export alone.
     """

@@ -70,11 +70,6 @@ class ReportConfig:
     #: failure handling for the report's grid sections
     #: (docs/robustness.md); ``None`` keeps the fail-fast default
     error_policy: Optional[ErrorPolicy] = None
-    #: analytic screening for the report's grid sections: ``None`` emulates
-    #: every cell; a :class:`~repro.experiments.analytic.ScreenConfig` (or
-    #: ``True`` for the defaults) emulates only cells near the predicted
-    #: frontier and reports the rest as predictions (docs/analytic.md)
-    screen: Optional[object] = None
 
     def __post_init__(self) -> None:
         for name in ("duration", "figure1_duration", "figure2_duration"):
@@ -213,7 +208,6 @@ def _generate_report_sections(cfg: ReportConfig, progress) -> str:
                 config=run_cfg,
                 jobs=cfg.jobs,
                 policy=cfg.error_policy,
-                screen=cfg.screen,
             )
             sections.append(render_grid(data))
             if len(grid_spec.parameters) > 1:

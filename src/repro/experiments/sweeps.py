@@ -91,7 +91,7 @@ from repro.experiments.registry import (
 )
 from repro.experiments.runner import RunConfig
 from repro.metrics.flows import FlowMetrics
-from repro.metrics.summary import SchemeResult, is_screened
+from repro.metrics.summary import SchemeResult
 from repro.simulation.queues import AQM_CODEL, AQM_DROP_TAIL, QueueConfig
 from repro.traces.networks import LinkSpec, get_link, link_names
 
@@ -443,13 +443,8 @@ class GridPoint:
 
     Under the ``collect``/``retry`` error policies ``results`` may hold a
     :class:`~repro.experiments.policy.CellError` in a failed cell's
-    position; :attr:`ok_results` and :attr:`errors` split the two.  A
-    screened run (``run_grid(screen=...)``, docs/analytic.md) may likewise
-    hold a :class:`~repro.metrics.summary.ScreenedResult` — a predicted,
-    never-emulated cell — in place; :attr:`ok_results` carries *measured*
-    results only, with :attr:`screened_results` holding the predictions.
-    Under the default fail-fast unscreened run every entry is a measured
-    ``SchemeResult``.
+    position; :attr:`ok_results` and :attr:`errors` split the two.  Under
+    the default fail-fast run every entry is a ``SchemeResult``.
     """
 
     parameters: Tuple[str, ...]
@@ -458,17 +453,8 @@ class GridPoint:
 
     @property
     def ok_results(self) -> List[SchemeResult]:
-        """The point's successful *measured* results, in cell order."""
-        return [
-            row
-            for row in self.results
-            if not is_cell_error(row) and not is_screened(row)
-        ]
-
-    @property
-    def screened_results(self) -> List[SchemeResult]:
-        """The point's screened-out (predicted-only) cells, in cell order."""
-        return [row for row in self.results if is_screened(row)]
+        """The point's successful results, in cell order."""
+        return [row for row in self.results if not is_cell_error(row)]
 
     @property
     def errors(self) -> List[CellError]:
@@ -516,11 +502,6 @@ class GridData:
         """Every failed cell across the grid, point-major cell order."""
         return [error for point in self.points for error in point.errors]
 
-    @property
-    def screened(self) -> List[SchemeResult]:
-        """Every screened-out cell across the grid, point-major cell order."""
-        return [row for point in self.points for row in point.screened_results]
-
 
 def expand_grid(spec: GridSpec, config: Optional[RunConfig] = None) -> List[Cell]:
     """Flatten a grid spec into explicit matrix cells, value-major.
@@ -549,8 +530,7 @@ def grid_points(spec: GridSpec, results: Sequence[CellOutcome]) -> List[GridPoin
 
     ``results`` must be in :func:`expand_grid` cell order (one outcome per
     cell); this is the one place that knows how a flat batch folds back
-    into :class:`GridPoint` chunks, shared by the plain and screened
-    (:mod:`repro.experiments.analytic`) grid runners.
+    into :class:`GridPoint` chunks.
     """
     chunk = spec.cells_per_point
     expected = chunk * len(spec.coordinates())
@@ -576,7 +556,6 @@ def run_grid(
     jobs: Optional[int] = None,
     policy: Optional[ErrorPolicy] = None,
     backend: str = "processes",
-    screen: Optional[object] = None,
 ) -> GridData:
     """Run one grid through the (shared-pool-aware) cell runner.
 
@@ -591,28 +570,7 @@ def run_grid(
     ``backend="batched"`` runs the grid's Sprout cells through the batched
     cross-cell engine instead of a worker pool (docs/performance.md
     "Layer 4"); results are bit-identical either way.
-
-    ``screen`` (a :class:`repro.experiments.analytic.ScreenConfig`) turns
-    on analytic screening: every cell is predicted in closed form and only
-    cells near the predicted frontier — or with high model uncertainty —
-    are emulated; the rest land as
-    :class:`~repro.metrics.summary.ScreenedResult` records
-    (docs/analytic.md).  Emulated cells are bit-identical to an unscreened
-    run's.
     """
-    if screen is not None:
-        # Imported lazily: the analytic module builds on this one.
-        from repro.experiments.analytic import run_grid_screened
-
-        return run_grid_screened(
-            spec,
-            config=config,
-            progress=progress,
-            jobs=jobs,
-            policy=policy,
-            backend=backend,
-            screen=screen,
-        )
     cells = expand_grid(spec, config)
     results = run_cells(
         cells,
@@ -633,14 +591,10 @@ _RESULT_HEADER = (
 
 
 def _result_line(row: SchemeResult) -> str:
-    line = (
+    return (
         f"  {row.scheme:22s} {row.link:30s} {row.throughput_kbps:12.0f} "
         f"{row.self_inflicted_delay_ms:12.0f} {100 * row.utilization:8.1f}"
     )
-    if is_screened(row):
-        # Predicted, never emulated (docs/analytic.md) — say so in place.
-        line += "  (screened: predicted)"
-    return line
 
 
 def _error_line(row: CellError) -> str:
@@ -665,19 +619,6 @@ def _failure_footer(points: Sequence) -> List[str]:
     return [f"{failed} of {total} cells failed", ""]
 
 
-def _screened_footer(points: Sequence) -> List[str]:
-    """The trailing screening note, empty on unscreened runs."""
-    screened = sum(len(point.screened_results) for point in points)
-    if not screened:
-        return []
-    total = sum(len(point.results) for point in points)
-    return [
-        f"{screened} of {total} cells screened analytically "
-        "(predicted, not emulated; docs/analytic.md)",
-        "",
-    ]
-
-
 def render_grid(data: GridData) -> str:
     """Plain-text rendering: one block per grid point, value-major.
 
@@ -700,7 +641,6 @@ def render_grid(data: GridData) -> str:
         lines.append(_RESULT_HEADER)
         lines.extend(_outcome_lines(point.results))
         lines.append("")
-    lines.extend(_screened_footer(data.points))
     lines.extend(_failure_footer(data.points))
     return "\n".join(lines)
 
@@ -794,13 +734,6 @@ def render_grid_frontiers(data: GridData) -> str:
     spec = data.spec
     axes = " × ".join(spec.parameters)
     lines: List[str] = [f"Frontier — throughput vs delay across the {axes} grid", ""]
-    screened = len(data.screened)
-    if screened:
-        # Screened cells are predictions, not measurements; the frontier is
-        # a claim about measured operating points only, and the screening
-        # heuristic's job (docs/analytic.md) is to emulate every cell that
-        # could plausibly appear on it.
-        lines[1:1] = [f"({screened} screened cells excluded — predictions only)", ""]
     failed = len(data.errors)
     if failed:
         # Failed cells have no operating point; the frontier is computed

@@ -84,38 +84,6 @@ class SchemeResult:
 
 
 @dataclass
-class ScreenedResult(SchemeResult):
-    """A screened-out cell: *predicted* metrics standing in for a measurement.
-
-    The analytic screening tier (:mod:`repro.experiments.analytic`) emits
-    one of these — in the cell's position, like the error-policy layer's
-    in-place :class:`~repro.experiments.policy.CellError` — for every cell
-    it decided not to emulate.  The metric fields hold the closed-form
-    predictions so tables and grid listings render naturally, but the
-    record type (and the ``screened`` marker :meth:`as_dict` adds, which
-    becomes the schema-v4 export column) keeps predictions distinguishable
-    from measurements everywhere downstream: frontier rendering excludes
-    them, and the differential validator skips them.
-
-    ``prediction_uncertainty`` is the model's own confidence complement in
-    ``[0, 1]`` — by construction below the screen's threshold, or the cell
-    would have been emulated.
-    """
-
-    prediction_uncertainty: float = 0.0
-
-    def as_dict(self) -> dict:
-        data = super().as_dict()
-        data["screened"] = True
-        return data
-
-
-def is_screened(result: object) -> bool:
-    """Whether one grid outcome is a screened-out (predicted-only) cell."""
-    return isinstance(result, ScreenedResult)
-
-
-@dataclass
 class RelativeComparison:
     """Average relative performance of a reference scheme vs. another scheme.
 

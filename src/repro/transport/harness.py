@@ -14,7 +14,7 @@ becomes a :class:`~repro.metrics.summary.SchemeResult` (scheme
 ``"Sprout (live)"``, link ``"loopback"``, transport counters in ``extra``)
 and :func:`run_live_suite` wraps the repeats in a
 :class:`~repro.experiments.sweeps.GridData` over the inert ``repeat`` axis,
-so ``repro live --export`` writes the same schema-v4 CSV/JSON any sweep
+so ``repro live --export`` writes the same CSV/JSON export any sweep
 does and the exports parse back through ``parse_csv`` / ``parse_json``.
 
 Loopback caveats (docs/transport.md): no propagation delay, no bottleneck
@@ -365,7 +365,7 @@ def live_grid_data(results: List[LiveTransferResult]) -> GridData:
 
     The resulting :class:`GridData` is indistinguishable in shape from a
     simulated sweep's, so ``render_grid``, ``export_csv``/``export_json``
-    and the schema-v4 parsers all apply as-is.
+    and the export parsers all apply as-is.
     """
     if not results:
         raise ValueError("no live transfer results to package")

@@ -1,7 +1,7 @@
-"""Property suite for the analytic screening tier (repro.experiments.analytic).
+"""Property suite for the closed-form predictors (repro.experiments.analytic).
 
 Hypothesis drives the closed-form predictors over their whole input ranges
-and asserts the qualitative shape the screening tier relies on:
+and asserts their qualitative shape:
 
 * the PFTK Reno and CUBIC response functions are non-increasing in both
   the loss rate and the round-trip time;

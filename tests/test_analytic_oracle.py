@@ -18,8 +18,8 @@ both sides.
 
 The grid deliberately stays in the oracle-grade regime: non-zero loss on a
 steady (volatility-free) channel, and short enough RTTs that Cubic sits in
-its TCP-friendly region (the real-time cubic-growth regime is excluded by
-its 0.65 uncertainty score — see CUBIC_FRIENDLY_RATIO).
+its TCP-friendly region (the real-time cubic-growth regime is outside the
+oracle — see CUBIC_FRIENDLY_RATIO).
 """
 
 from __future__ import annotations
@@ -30,10 +30,13 @@ from repro.baselines.reno import RenoSender
 from repro.experiments.analytic import (
     ORACLE_SCHEMES,
     ORACLE_TOLERANCE,
+    _oracle_throughput_bps,
     validate_grid,
 )
+from repro.experiments.policy import cell_link_name
 from repro.experiments.runner import RunConfig
-from repro.experiments.sweeps import GridSpec, run_grid
+from repro.experiments.sweeps import GridData, GridPoint, GridSpec, expand_grid, run_grid
+from repro.metrics.summary import SchemeResult
 from repro.traces.channel import ChannelConfig
 from repro.traces.networks import LinkSpec
 
@@ -116,3 +119,77 @@ def test_mutated_reno_constant_trips_the_oracle(monkeypatch):
     assert record.simulated < record.predicted  # weakened sender runs slow
     assert "DIVERGED" not in record.summary  # render adds the verdict
     assert record.tolerance == ORACLE_TOLERANCE
+
+
+# ------------------------------------------------ which cells are in scope
+
+#: a 96-cell scope grid: every regime edge of the oracle (no loss, loss too
+#: light to bind, Cubic's cubic mode, CoDel by scheme and by axis, a
+#: volatile registry link) next to the cells the oracle does check
+SCOPE_SPEC = GridSpec(
+    parameters=("loss", "rtt", "aqm"),
+    values=((0.0, 0.004, 0.02, 0.2), (0.04, 0.12), (0, 1)),
+    schemes=("Reno", "Cubic", "Cubic-CoDel"),
+    links=(STEADY_LINK, "Verizon LTE downlink"),
+)
+
+#: the oracle's predicted throughput (bit/s) on every in-scope cell of
+#: SCOPE_SPEC, keyed by (scheme, link, loss, rtt, aqm), as recorded before
+#: the oracle's regime test was folded into one function; every other
+#: cell of the grid is out of scope (None)
+SCOPE_CONSTANTS = {
+    ("Reno", "Steady 9.6 Mbit/s downlink", 0.004, 0.04, 0): 5245466.513555443,
+    ("Cubic", "Steady 9.6 Mbit/s downlink", 0.004, 0.04, 0): 5245466.513555443,
+    ("Reno", "Steady 9.6 Mbit/s downlink", 0.004, 0.12, 0): 1863412.8307116448,
+    ("Reno", "Steady 9.6 Mbit/s downlink", 0.02, 0.04, 0): 2013419.4666325543,
+    ("Cubic", "Steady 9.6 Mbit/s downlink", 0.02, 0.04, 0): 2013419.4666325543,
+    ("Reno", "Steady 9.6 Mbit/s downlink", 0.02, 0.12, 0): 777482.3452205587,
+    ("Reno", "Steady 9.6 Mbit/s downlink", 0.2, 0.04, 0): 132674.01473681856,
+    ("Reno", "Steady 9.6 Mbit/s downlink", 0.2, 0.12, 0): 87900.48265522764,
+}
+
+
+def test_oracle_scope_and_predictions_are_pinned():
+    cells = iter(expand_grid(SCOPE_SPEC))
+    checked = 0
+    for coordinates in SCOPE_SPEC.coordinates():
+        for scheme in SCOPE_SPEC.schemes:
+            for link in SCOPE_SPEC.links:
+                key = (scheme, cell_link_name(link), *coordinates)
+                assert _oracle_throughput_bps(next(cells)) == SCOPE_CONSTANTS.get(key), key
+                checked += 1
+    assert checked == 96
+
+
+# ------------------------------------------------------ tolerance domain
+
+
+def _one_reno_cell_grid() -> GridData:
+    """A hand-built one-point grid: one in-scope Reno cell, far off its
+    prediction (1 kbit/s measured against ~2 Mbit/s predicted)."""
+    spec = GridSpec(
+        parameters=("loss", "rtt"),
+        values=((0.02,), (0.04,)),
+        schemes=("Reno",),
+        links=(STEADY_LINK,),
+    )
+    row = SchemeResult(
+        scheme="Reno",
+        link=STEADY_LINK.name,
+        throughput_bps=1000.0,
+        delay_95_s=0.1,
+        self_inflicted_delay_s=0.06,
+        utilization=0.001,
+    )
+    point = GridPoint(parameters=spec.parameters, coordinates=(0.02, 0.04), results=[row])
+    return GridData(spec=spec, points=[point])
+
+
+@pytest.mark.parametrize("tolerance", [float("nan"), float("inf")])
+def test_validate_grid_refuses_a_non_finite_tolerance(tolerance):
+    """Every ``relative > nan`` is False: a nan tolerance would turn the
+    oracle into a silent green on a cell it plainly flags."""
+    data = _one_reno_cell_grid()
+    assert len(validate_grid(data, ORACLE_CONFIG)) == 1
+    with pytest.raises(ValueError, match="tolerance must be a positive finite number"):
+        validate_grid(data, ORACLE_CONFIG, tolerance=tolerance)

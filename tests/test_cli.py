@@ -297,6 +297,37 @@ def test_sweep_command_out_requires_export(capsys):
     assert "--out requires --export" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--tolerance", "0.1"], "--tolerance requires --validate"),
+        (["--validate", "--tolerance", "-1"], "positive finite"),
+        (["--validate", "--tolerance", "nan"], "positive finite"),
+        (["--validate", "--tolerance", "inf"], "positive finite"),
+    ],
+    ids=["without-validate", "negative", "nan", "inf"],
+)
+def test_sweep_command_checks_tolerance_before_running_any_cell(
+    monkeypatch, capsys, flags, message
+):
+    from repro import cli
+
+    def no_cells(*args, **kwargs):
+        raise AssertionError("the grid ran before --tolerance was checked")
+
+    monkeypatch.setattr(cli, "run_grid", no_cells)
+    code = main(
+        [
+            "sweep",
+            "--param", "loss", "--values", "0.02",
+            "--schemes", "Reno", "--links", "AT&T LTE uplink",
+            *flags,
+        ]
+    )
+    assert code == 2
+    assert message in capsys.readouterr().err
+
+
 # -------------------------------------------------------- exit-code matrix
 
 

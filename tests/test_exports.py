@@ -24,7 +24,6 @@ from repro.experiments.exports import (
     EXPORT_SCHEMA_VERSION,
     FLOW_COLUMNS,
     METRIC_COLUMNS,
-    SCREEN_COLUMNS,
     csv_columns,
     export_csv,
     export_json,
@@ -132,11 +131,7 @@ def test_csv_column_order_is_documented_shape(grid_data):
     assert header[1:3] == ["loss", "scale"]
     assert header[3:5] == ["scheme", "link"]
     assert header[5 : 5 + len(METRIC_COLUMNS)] == METRIC_COLUMNS
-    assert header[5 + len(METRIC_COLUMNS) :] == [
-        *SCREEN_COLUMNS,
-        *FLOW_COLUMNS,
-        ERROR_COLUMN,
-    ]
+    assert header[5 + len(METRIC_COLUMNS) :] == [*FLOW_COLUMNS, ERROR_COLUMN]
 
 
 def test_aggregate_rows_leave_flow_columns_empty(grid_data):
@@ -153,50 +148,6 @@ def test_success_rows_leave_error_column_empty(grid_data):
     payload = parse_json(export_json(grid_data))
     for point in payload["points"]:
         assert "errors" not in point  # all-green exports carry no error key
-
-
-# ----------------------------------------------- malformed v4 rejections
-
-
-def test_v4_csv_rejects_screened_row_with_flow_section():
-    """A screened cell was never emulated: measured flows are contradictory."""
-    lines = GOLDEN_CSV.read_text().splitlines()
-    header = lines[0].split(",")
-    row = lines[1].split(",")
-    row[header.index("screened")] = "1"
-    row[header.index("predicted_throughput_bps")] = "500000.0"
-    row[header.index("predicted_delay_s")] = "0.05"
-    row[header.index("prediction_uncertainty")] = "0.25"
-    row[header.index("flow_id")] = "0"
-    row[header.index("flow_throughput_bps")] = "250000.0"
-    row[header.index("flow_delay_95_s")] = "0.1"
-    malformed = "\n".join([lines[0], ",".join(row)]) + "\n"
-    with pytest.raises(ValueError, match="screened"):
-        parse_csv(malformed)
-
-
-def test_v4_json_rejects_screened_record_with_flow_section():
-    payload = json.loads(GOLDEN_JSON.read_text())
-    payload["points"][0]["screened"] = [
-        {
-            "scheme": "Vegas",
-            "link": "AT&T LTE uplink",
-            "index": 0,
-            "screened": True,
-            "flows": [{"flow_id": 0, "throughput_bps": 1.0}],
-        }
-    ]
-    with pytest.raises(ValueError, match="screened"):
-        parse_json(json.dumps(payload))
-
-
-def test_v4_json_rejects_result_marked_screened_with_flow_section():
-    payload = json.loads(GOLDEN_JSON.read_text())
-    result = payload["points"][0]["results"][0]
-    result["screened"] = True
-    result["flows"] = [{"flow_id": 0, "throughput_bps": 1.0}]
-    with pytest.raises(ValueError, match="screened"):
-        parse_json(json.dumps(payload))
 
 
 def test_sweep_data_exports_as_one_axis_grid():
@@ -313,18 +264,20 @@ def test_parse_rejects_wrong_schema_version(grid_data):
         parse_csv("\n".join([header, mutated, rest]))
 
 
-def test_parse_refuses_an_older_schema_version_by_number():
-    """One reader: the repo writes v4 only, and no older file is accepted."""
-    older = GOLDEN_JSON.read_text().replace(
-        f'"schema_version": {EXPORT_SCHEMA_VERSION}', '"schema_version": 3'
+@pytest.mark.parametrize("older", [3, 4])
+def test_parse_refuses_an_older_schema_version_by_number(older):
+    """One reader: the repo writes v5 only, and no older file is accepted."""
+    refused = f"unsupported export schema version {older} "
+    text = GOLDEN_JSON.read_text().replace(
+        f'"schema_version": {EXPORT_SCHEMA_VERSION}', f'"schema_version": {older}'
     )
-    with pytest.raises(ValueError, match="unsupported export schema version 3 "):
-        parse_json(older)
-    with pytest.raises(ValueError, match="unsupported export schema version 3 "):
-        grid_data_from_json(json.loads(older))
+    with pytest.raises(ValueError, match=refused):
+        parse_json(text)
+    with pytest.raises(ValueError, match=refused):
+        grid_data_from_json(json.loads(text))
     header, *rows = GOLDEN_CSV.read_text().splitlines()
-    older_rows = ["3" + row[len(str(EXPORT_SCHEMA_VERSION)) :] for row in rows]
-    with pytest.raises(ValueError, match="unsupported export schema version 3 "):
+    older_rows = [str(older) + row[len(str(EXPORT_SCHEMA_VERSION)) :] for row in rows]
+    with pytest.raises(ValueError, match=refused):
         parse_csv("\n".join([header, *older_rows]) + "\n")
 
 
@@ -351,66 +304,3 @@ def test_parse_csv_rejects_truncated_rows(grid_data):
     truncated = "\n".join(lines[:-1] + [lines[-1].rsplit(",", 2)[0]]) + "\n"
     with pytest.raises(ValueError, match="truncated"):
         parse_csv(truncated)
-
-
-def _screened_csv_row(**overrides):
-    """The golden export's first row rewritten as a screened prediction."""
-    lines = GOLDEN_CSV.read_text().splitlines()
-    header = lines[0].split(",")
-    row = lines[1].split(",")
-    values = {
-        "screened": "1",
-        "predicted_throughput_bps": "500000.0",
-        "predicted_delay_s": "0.05",
-        "prediction_uncertainty": "0.25",
-        **overrides,
-    }
-    for column, value in values.items():
-        row[header.index(column)] = value
-    return "\n".join([lines[0], ",".join(row)]) + "\n"
-
-
-def test_v4_csv_accepts_in_range_predictions():
-    rows = parse_csv(_screened_csv_row())
-    assert rows[0]["prediction_uncertainty"] == 0.25
-
-
-@pytest.mark.parametrize("bad", ["1.5", "-0.25"])
-def test_v4_csv_rejects_out_of_range_prediction_uncertainty(bad):
-    with pytest.raises(ValueError, match="outside"):
-        parse_csv(_screened_csv_row(prediction_uncertainty=bad))
-
-
-def test_v4_csv_rejects_negative_predicted_throughput():
-    with pytest.raises(ValueError, match="negative predicted throughput"):
-        parse_csv(_screened_csv_row(predicted_throughput_bps="-500000.0"))
-
-
-def _screened_json_payload(**overrides):
-    payload = json.loads(GOLDEN_JSON.read_text())
-    record = {
-        "scheme": "Vegas",
-        "link": "AT&T LTE uplink",
-        "index": 0,
-        "screened": True,
-        "throughput_bps": 500000.0,
-        "prediction_uncertainty": 0.25,
-        **overrides,
-    }
-    payload["points"][0]["screened"] = [record]
-    return json.dumps(payload)
-
-
-def test_v4_json_accepts_in_range_predictions():
-    parse_json(_screened_json_payload())
-
-
-@pytest.mark.parametrize("bad", [1.5, -0.25])
-def test_v4_json_rejects_out_of_range_prediction_uncertainty(bad):
-    with pytest.raises(ValueError, match="outside"):
-        parse_json(_screened_json_payload(prediction_uncertainty=bad))
-
-
-def test_v4_json_rejects_negative_predicted_throughput():
-    with pytest.raises(ValueError, match="negative predicted throughput"):
-        parse_json(_screened_json_payload(throughput_bps=-1.0))
