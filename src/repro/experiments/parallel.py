@@ -13,27 +13,10 @@ pool with :func:`shared_pool` and reuses it for every batch instead of
 paying worker start-up once per batch; :func:`run_cells` transparently
 picks the shared pool up when one is active.
 
-The cell runner is also *cache-shaped*.  A swept rate model costs ~1.5 s of
-Monte-Carlo precomputation the first time it is seen on a machine
-(docs/performance.md "Layer 3"), and that build cannot be split: its RNG
-stream is sequential and the artifact must stay bit-identical.  So a pooled
-batch runs *different* models' builds side by side, as pool tasks that gate
-their cells (:class:`_ModelGate`): each distinct
-:class:`~repro.core.rate_model.RateModelParams` the cells will request
-(:func:`required_model_params` — swept sigma/tick variants, tunnelled
-scenarios carrying a tuned Sprout, the defaults) whose artifact is in
-neither cache tier becomes one build task, given a worker slot ahead of
-every cell (longest tasks first); cells whose model is already cached, or
-that need none, queue right behind the builds; the cells of a missing model
-join the queue the moment its build finishes and load it from the disk tier
-(or the builder's own memory tier).  No model is built twice, no cell waits for
-a model other than its own, and the parent neither builds nor holds an
-artifact.  The gate only orders work: a build that fails still releases
-its cells, which then hit the same error in their own ``RateModel(params)``
-call, so every error policy sees exactly the per-cell outcome.  With the
-disk tier off (``REPRO_MODEL_CACHE_DISK=0``) a worker-built artifact cannot
-reach another process, so the gate stands down and every process builds on
-demand, as it does with the cache disabled.
+Each cell builds the rate model its Sprout needs on demand, in whichever
+process runs it: a model builds in tens of milliseconds (docs/performance.md
+"Layer 3") and is then shared in that process, so the scheduler needs no
+notion of models at all.
 
 Cells whose scheme cannot be pickled (ad-hoc :class:`SchemeSpec` instances
 built around closures) are detected up front and run in the parent process
@@ -64,14 +47,12 @@ from collections import deque
 from concurrent.futures import (
     FIRST_COMPLETED,
     BrokenExecutor,
-    Future,
     ProcessPoolExecutor,
     wait,
 )
 from contextlib import contextmanager
 from typing import (
     Callable,
-    Dict,
     Iterator,
     List,
     Optional,
@@ -139,7 +120,7 @@ def _run_cell(
     return run_scheme_on_link(scheme, link, config)
 
 
-# ------------------------------------------------------- model provisioning
+# ------------------------------------------------------------ model needs
 
 
 def _cell_model_params(scheme: Union[str, SchemeSpec]):
@@ -151,8 +132,7 @@ def _cell_model_params(scheme: Union[str, SchemeSpec]):
     competing-flows scenarios carry the tunnel's; the plain registry
     ``Sprout`` uses defaults.  Schemes with no Bayesian model (TCP
     baselines, Sprout-EWMA, direct scenarios) and ad-hoc specs whose
-    config cannot be recovered return ``None`` — the cell is never gated
-    and its process builds on demand, so provisioning can only ever help.
+    config cannot be recovered return ``None``.
     """
     from repro.core.connection import SproutConfig
     from repro.core.rate_model import RateModelParams
@@ -182,85 +162,18 @@ def _cell_model_params(scheme: Union[str, SchemeSpec]):
 
 
 def required_model_params(cells: Sequence[Cell]) -> List:
-    """Distinct model parameter sets the cells will need, first-use order."""
+    """Distinct model parameter sets the cells will need, first-use order.
+
+    Nothing in the engine needs it (each cell builds its own model on
+    demand); it is for a caller that wants the models built, timed or
+    counted ahead of a batch.
+    """
     seen = {}
     for scheme, _, _ in cells:
         params = _cell_model_params(scheme)
         if params is not None and params not in seen:
             seen[params] = None
     return list(seen)
-
-
-def _build_model(params) -> None:
-    """Pool task: build one model artifact into the shared disk tier.
-
-    Returns nothing — the artifact travels through the cache, and a
-    ``RateModel`` result would be pickled back into the parent.
-    """
-    from repro.core.rate_model import RateModel
-
-    RateModel(params)
-
-
-class _ModelGate:
-    """Model builds as pool tasks, and the cells each one holds back.
-
-    See the module docstring for the scheduling contract.  The engines
-    submit :attr:`builds` ahead of the :attr:`open` cells and pass every
-    finished future through :meth:`release`; a build's outcome is never
-    read, because its cells re-raise whatever stopped it.  Stands down
-    (everything :attr:`open`) unless the model cache has a disk tier to
-    carry an artifact from the worker that built it to the others.
-    """
-
-    def __init__(self, sendable: Sequence[Tuple[int, Cell]]):
-        from repro.core.rate_model import model_cache, model_key
-
-        cache = model_cache()
-        gating = cache.enabled and cache.use_disk
-        #: indices free to run at once: model cached, or no model needed
-        self.open: List[int] = []
-        #: missing model -> the indices waiting for its build
-        self.held: Dict[object, List[int]] = {}
-        cached: Dict[object, bool] = {None: True}
-        for index, (scheme, _, _) in sendable:
-            params = _cell_model_params(scheme) if gating else None
-            if params not in cached:
-                cached[params] = cache.contains(model_key(params))
-            if cached[params]:
-                self.open.append(index)
-            else:
-                self.held.setdefault(params, []).append(index)
-        #: builds not yet submitted, in first-use order
-        self.builds = deque(self.held)
-        #: build futures in flight
-        self.building: Dict[Future, object] = {}
-
-    def submit_build(self, pool: ProcessPoolExecutor) -> Future:
-        future = pool.submit(_build_model, self.builds[0])
-        self.building[future] = self.builds.popleft()
-        return future
-
-    def release(self, future: Future) -> Optional[List[int]]:
-        """The cells a finished build frees; ``None`` if not a build."""
-        params = self.building.pop(future, None)
-        return None if params is None else self.held.pop(params)
-
-    def requeue_builds(self) -> None:
-        """Put the builds that were in flight on a killed pool back in line."""
-        self.builds.extendleft(self.building.values())
-        self.building.clear()
-
-    def release_all(self) -> List[int]:
-        """Give up on the builds still in line: their cells build on demand."""
-        self.builds.clear()
-        held = [index for indices in self.held.values() for index in indices]
-        self.held.clear()
-        return held
-
-    def cancel(self) -> None:
-        for future in self.building:
-            future.cancel()
 
 
 def _poolable(value: object) -> object:
@@ -485,14 +398,9 @@ def _run_indices_fault_tolerant(
     which the remainder of the batch drains serially in the parent); a cell
     in flight across two pool breaks is quarantined to a serial in-parent
     run so one pathological cell cannot wedge the batch.
-
-    Missing model builds (:class:`_ModelGate`) take worker slots ahead of
-    the cells, with no deadline of their own; one lost to a pool break or
-    a neighbour's timeout goes back in line with the rebuilt pool.
     """
     sendable, local = _split_poolable(cells, indices)
     sendable_cell = dict(sendable)
-    gate = _ModelGate(sendable)
     # One task per worker keeps a deadline honest (it runs from submit time)
     # and the suspect list short when the pool breaks.  A batch that needs
     # neither queues a second task behind each worker, so none idles for
@@ -501,7 +409,7 @@ def _run_indices_fault_tolerant(
     window = host.workers * (2 if plain_fail_fast else 1)
     # (index, attempt, suspicion): suspicion counts pool breaks survived
     # while this cell was in flight — two strikes quarantines it.
-    ready = deque((index, 1, 0) for index in gate.open)
+    ready = deque((index, 1, 0) for index, _ in sendable)
     in_flight = {}
     quarantined: List[Tuple[int, int]] = []
     rebuilds = 0
@@ -534,24 +442,15 @@ def _run_indices_fault_tolerant(
         in_flight.clear()
         rebuilds += 1
 
-    def rebuild_pool() -> None:
-        gate.requeue_builds()
-        host.rebuild()
-
     try:
-        while ready or in_flight or gate.builds or gate.building or local:
+        while ready or in_flight or local:
             if rebuilds > policy.max_pool_rebuilds:
                 host.kill()
                 drain_serially = True
                 break
             broken = False
             try:
-                while (gate.builds or ready) and (
-                    len(in_flight) + len(gate.building) < window
-                ):
-                    if gate.builds:
-                        gate.submit_build(host.pool)
-                        continue
+                while ready and len(in_flight) < window:
                     index, attempt, suspicion = ready[0]
                     scheme, link, config = sendable_cell[index]
                     future = host.pool.submit(
@@ -570,7 +469,7 @@ def _run_indices_fault_tolerant(
                 absorb_break(
                     [(i, a, s) for i, a, s, _ in in_flight.values()]
                 )
-                rebuild_pool()
+                host.rebuild()
                 continue
 
             # Parent-side (unpicklable) cells, once the pool has its first
@@ -589,17 +488,9 @@ def _run_indices_fault_tolerant(
                         for _, _, _, deadline in in_flight.values()
                     ),
                 )
-            done, _ = wait(
-                [*in_flight, *gate.building],
-                timeout=poll,
-                return_when=FIRST_COMPLETED,
-            )
+            done, _ = wait(in_flight, timeout=poll, return_when=FIRST_COMPLETED)
 
             for future in done:
-                released = gate.release(future)
-                if released is not None:
-                    ready.extend((index, 1, 0) for index in released)
-                    continue
                 index, attempt, suspicion, _ = in_flight.pop(future)
                 try:
                     result = future.result()
@@ -621,7 +512,7 @@ def _run_indices_fault_tolerant(
 
             if broken:
                 absorb_break([(i, a, s) for i, a, s, _ in in_flight.values()])
-                rebuild_pool()
+                host.rebuild()
                 continue
 
             if policy.cell_timeout is not None and in_flight:
@@ -659,12 +550,12 @@ def _run_indices_fault_tolerant(
                             ready.append((index, attempt, suspicion))
                     in_flight.clear()
                     rebuilds += 1
-                    rebuild_pool()
+                    host.rebuild()
 
         if drain_serially:
             # The rebuild budget is spent: finish in the parent, where no
             # pool can break.  Quarantined cells join the serial queue.
-            ready.extend((index, 1, 0) for index in (*gate.release_all(), *local))
+            ready.extend((index, 1, 0) for index in local)
             for index, attempt, _ in ready:
                 record(
                     index,
@@ -672,7 +563,6 @@ def _run_indices_fault_tolerant(
                 )
             ready.clear()
     except BaseException:
-        gate.cancel()
         for future in in_flight:
             future.cancel()
         raise

@@ -8,11 +8,9 @@ the Cartesian product of every ``coordinate × scheme × link`` combination
 into an explicit matrix cell and runs the whole flattened batch through
 :func:`repro.experiments.parallel.run_cells` — one worker pool for the
 entire grid, with the shared trace cache (:mod:`repro.traces.cache`)
-deduplicating trace generation across cells and every distinct swept
-:class:`RateModelParams` the model-artifact cache lacks built by the pool
-itself, one task per model ahead of the cells it gates, so a wide
-sigma/tick grid builds its models side by side, each once ever instead of
-once per worker.  A classic single-parameter sweep is a one-axis grid.
+deduplicating trace generation across cells and each distinct swept
+:class:`RateModelParams` built on demand, at most once per worker.  A
+classic single-parameter sweep is a one-axis grid.
 
 Sweepable axes (full semantics in ``docs/scenarios.md``):
 

@@ -3,7 +3,7 @@
 The fault-tolerance layer (``docs/robustness.md``) is only trustworthy if
 every recovery path is exercised end-to-end: a worker raising mid-cell, a
 worker hanging past the cell timeout, a worker exiting hard (taking the
-process pool with it), and a corrupted on-disk model artifact.  Real
+process pool with it), and a model artifact gone bad.  Real
 versions of those faults are flaky by nature; this module injects them
 *deterministically*, driven by an environment variable so the injection
 crosses process boundaries into pool workers for free (the pool forks or
@@ -21,10 +21,10 @@ The value is a JSON list of clause objects.  Each clause:
     so a ``cell_timeout`` expires first;
     ``exit`` — ``os._exit(exit_code)``, killing the worker process hard
     (this is what breaks a ``ProcessPoolExecutor``);
-    ``corrupt`` — overwrite every ``.npz`` model artifact in the model
-    cache's disk directory with garbage and drop the in-memory model
-    tiers, then (when ``strict``) raise :class:`InjectedCorruptArtifact`
-    so the cell fails and its *retry* must heal the cache.
+    ``corrupt`` — drop every model artifact this process holds (the
+    shared-model memo and the model-artifact cache), then (when
+    ``strict``) raise :class:`InjectedCorruptArtifact` so the cell fails
+    and its *retry* must rebuild the model from scratch.
 ``scheme``, ``link``
     ``fnmatch`` patterns against the cell's scheme/link display names;
     default ``"*"``.
@@ -51,7 +51,6 @@ bit-identical and effectively free.
 from __future__ import annotations
 
 import fnmatch
-import glob
 import hashlib
 import json
 import os
@@ -70,7 +69,7 @@ class InjectedFault(RuntimeError):
 
 
 class InjectedCorruptArtifact(RuntimeError):
-    """Raised by a strict ``corrupt`` clause after scribbling the cache."""
+    """Raised by a strict ``corrupt`` clause after dropping the model artifacts."""
 
 
 @dataclass(frozen=True)
@@ -146,32 +145,16 @@ def parse_fault_spec(text: str) -> List[FaultClause]:
     return clauses
 
 
-def _corrupt_model_artifacts() -> int:
-    """Scribble over every on-disk model artifact and drop warm copies.
+def _drop_model_artifacts() -> None:
+    """Forget every model artifact this process holds.
 
-    Returns the number of files corrupted.  Also clears the in-memory
-    model tiers (the shared-model memo and the artifact cache's memory
-    layer) so the next model construction actually reads the corrupted
-    files — in a forked worker the memory tier would otherwise mask the
-    disk damage entirely.
+    Clears the shared-model memo and the model-artifact cache, so the next
+    model construction in this process builds from scratch.
     """
     from repro.core.rate_model import clear_shared_models, model_cache
 
-    cache = model_cache()
     clear_shared_models()
-    cache.clear()
-    directory = (
-        cache.directory if cache.directory is not None else cache.default_directory()
-    )
-    corrupted = 0
-    for path in glob.glob(os.path.join(directory, f"*{cache.suffix}")):
-        try:
-            with open(path, "wb") as handle:
-                handle.write(b"not an npz artifact")
-            corrupted += 1
-        except OSError:
-            continue
-    return corrupted
+    model_cache().clear()
 
 
 def _fire(clause: FaultClause, scheme: str, link: str, attempt: int) -> None:
@@ -185,10 +168,10 @@ def _fire(clause: FaultClause, scheme: str, link: str, attempt: int) -> None:
     if clause.kind == "exit":
         os._exit(clause.exit_code)
     if clause.kind == "corrupt":
-        count = _corrupt_model_artifacts()
+        _drop_model_artifacts()
         if clause.strict:
             raise InjectedCorruptArtifact(
-                f"injected corruption of {count} model artifact(s) before "
+                f"injected loss of the model artifacts before "
                 f"cell ({scheme}, {link}) attempt {attempt}"
             )
 

@@ -28,8 +28,9 @@ Knobs (also see docs/sweeps.md):
 * ``REPRO_TRACE_CACHE_MAX`` bounds the in-process layer.
 
 The model-artifact cache (:mod:`repro.core.rate_model`,
-docs/performance.md "Layer 3") rides the same generic store with the
-mirror-image ``REPRO_MODEL_CACHE*`` knobs.
+docs/performance.md "Layer 3") rides the same generic store, memory only:
+a model builds in tens of milliseconds, so it has no disk layer and only
+``REPRO_MODEL_CACHE`` and ``REPRO_MODEL_CACHE_MAX``.
 """
 
 from __future__ import annotations

@@ -13,23 +13,11 @@ import threading
 
 import pytest
 
-from repro.core.rate_model import RateModel, model_cache_directory, shared_rate_model
+from repro.core.rate_model import RateModel, shared_rate_model
 from repro.experiments.runner import RunConfig, run_scheme_on_link
 from repro.traces.channel import ChannelConfig
 from repro.traces.networks import get_link, link_trace
 from repro.traces.synthetic import generate_trace
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _isolated_model_cache(tmp_path_factory):
-    """Point the model-artifact cache at a per-session temp directory.
-
-    Suite runs must never share (or pollute) the per-user disk cache: a
-    stale artifact from an older code revision could otherwise mask a
-    regression, and parallel suite runs could race each other's entries.
-    """
-    with model_cache_directory(str(tmp_path_factory.mktemp("model-cache"))):
-        yield
 
 
 def _open_sockets():
@@ -72,7 +60,7 @@ def _no_transport_leaks(request):
 
 @pytest.fixture(scope="session")
 def rate_model() -> RateModel:
-    """The paper-default rate model (shared; construction costs ~1 s)."""
+    """The paper-default rate model (shared across the session)."""
     return shared_rate_model()
 
 

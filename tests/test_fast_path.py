@@ -4,7 +4,9 @@ Covers the three equivalences the optimisation relies on:
 
 * the production (bracket + window) forecast quantile matches the
   per-horizon reference loop exactly, and reproduces byte for byte the
-  forecasts recorded at the commit before its dispatch-floor rewrite;
+  forecasts recorded at the commit before its dispatch-floor rewrite —
+  on the Monte-Carlo tables of that commit, so the kernel and the tables
+  are pinned separately;
 * cached likelihood vectors are bit-identical to uncached computation,
   including the outage bin's special cases;
 * the lazy forecast cache only recomputes when the belief changed.
@@ -17,6 +19,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from monte_carlo import model_with_tables, monte_carlo_cdfs
 from repro.core.forecaster import BayesianForecaster
 from repro.core.rate_model import RateModel, RateModelParams
 
@@ -73,7 +76,7 @@ class TestForecastEquivalence:
 
     def test_equivalence_on_small_nondefault_model(self):
         params = RateModelParams(num_bins=32, max_rate=500.0, forecast_ticks=4)
-        model = RateModel(params, forecast_paths=500)
+        model = RateModel(params)
         for belief in _random_beliefs(32, 25):
             loop = model._cumulative_quantile_loop(belief, 0.05)
             fast = model.cumulative_quantile(belief, 0.05)
@@ -101,6 +104,25 @@ class TestForecastEquivalence:
         assert model.cumulative_quantile(beliefs[0], 0.5)[-1] == 0
         top = model.cumulative_quantile(beliefs[1], 0.999)[-1]
         assert top > model._quantile_windows[-2][0]
+
+    @pytest.mark.parametrize("model_name", ["rate_model", "slow_tick_model"])
+    def test_kernel_matches_spec_on_a_belief_sweep(self, request, model_name):
+        """A sweep wide enough to reach mixtures within one ulp of the
+        percentile, where two BLAS summation orders would split the kernel
+        from its spec (the spec once mixed the row layout and disagreed
+        here on both models)."""
+        model = request.getfixturevalue(model_name)
+        bins = model.params.num_bins
+        beliefs = list(_random_beliefs(bins, 500)) + list(_concentrated_beliefs(bins, 500))
+        split = []
+        for index, belief in enumerate(beliefs):
+            for percentile in (0.001, 0.05, 0.25, 0.5, 0.95):
+                for ticks in (1, 3, 8):
+                    loop = model._cumulative_quantile_loop(belief, percentile, ticks)
+                    fast = model.cumulative_quantile(belief, percentile, ticks)
+                    if not np.array_equal(fast, loop):
+                        split.append((index, percentile, ticks))
+        assert split == []
 
     @pytest.mark.parametrize("ticks", [1, 5, 8])
     def test_result_is_a_fresh_writable_float64_array(self, rate_model, ticks):
@@ -131,10 +153,15 @@ class TestForecastEquivalence:
             assert block.shape == (max_count + 1, model.params.num_bins)
 
 
+#: sha256 of the default model's forecast tables at the parent of the
+#: exact-table build: the Monte-Carlo sampler (``tests/monte_carlo.py``) at
+#: its old seed and 4 000 paths
+PARENT_TABLES_DIGEST = "076cc945c72659a0da197a0d6bd1df83b60731f4ad4c4b413ddfc8dc05af950f"
+
 #: sha256 of 2 000 concatenated ``forecast()`` results per confidence,
 #: recorded at the parent of the dispatch-floor rewrite (commit b2d1f93)
-#: before any source line changed.  A PR that knowingly changes the CDF
-#: tables re-records them; nothing else may move them.
+#: before any source line changed, on the Monte-Carlo tables above.  They
+#: pin the kernel; nothing may move them.
 PARENT_FORECAST_DIGESTS = {
     0.95: "e4187b0b07994068afe31fe3e17fb0a81e5a4b7cd6491643f54db3c6f7b5329a",
     0.75: "f6394b34d9f386929bceffe0575cc8c46ab889eeffe0145f83f1f4cd831755e3",
@@ -143,19 +170,34 @@ PARENT_FORECAST_DIGESTS = {
     0.05: "384dbe77db2a1b2d0674d4d5e006e9ee47b8affe983c24448adf54d0d556f371",
 }
 
+#: the same 2 000 ticks on the production (exact) tables.  They pin the
+#: tables; a change that knowingly moves the tables re-records them.
+EXACT_FORECAST_DIGESTS = {
+    0.95: "7ddccb9bdbc4167d626ac43e1b27a4055a89a9d7e36ea0650c18bcad349564d4",
+    0.75: "82649624a955136e291ca9029100595b812388976bc91437b5ac247cf702975e",
+    0.5: "eb8812892aeb50036eae9cf4bf9417eb7c67100364030aec01e902a7ee808b79",
+    0.25: "e2300df4929d5daffd4782f178857b59f4c7f7f98ce5487aa42db6b0309ba55d",
+    0.05: "b77010bb7b80e691b4ae0e099850b4765032fcced3f1e373d31f94e7974453ad",
+}
 
-@pytest.mark.parametrize("confidence", sorted(PARENT_FORECAST_DIGESTS))
-def test_forecasts_reproduce_the_parent_commit(rate_model, confidence):
-    """Binds the kernel to the parent's output, not to its siblings here.
 
-    One forecaster, 2 000 seeded ticks of a wandering rate with outages:
+@pytest.fixture(scope="module")
+def monte_carlo_model() -> RateModel:
+    """The default model on the parent's Monte-Carlo tables."""
+    params = RateModelParams()
+    tables = monte_carlo_cdfs(RateModel(params))
+    assert hashlib.sha256(tables.tobytes()).hexdigest() == PARENT_TABLES_DIGEST
+    return model_with_tables(params, tables)
+
+
+def _forecast_digest(model: RateModel, confidence: float) -> str:
+    """One forecaster, 2 000 seeded ticks of a wandering rate with outages:
     exact, censored, skipped and annihilating observations mixed, the
     forecast read after every tick (it spans 0 to ~170 packets, so every
-    coarse bracket in use is crossed).
-    """
-    mtu = rate_model.params.mtu_bytes
+    coarse bracket in use is crossed)."""
+    mtu = model.params.mtu_bytes
     rng = np.random.default_rng(22)
-    forecaster = BayesianForecaster(confidence, model=rate_model)
+    forecaster = BayesianForecaster(confidence, model=model)
     digest = hashlib.sha256()
     rate = 5.0
     for _ in range(2000):
@@ -175,7 +217,19 @@ def test_forecasts_reproduce_the_parent_commit(rate_model, confidence):
         else:
             forecaster.tick(arrived)
         digest.update(forecaster.forecast().tobytes())
-    assert digest.hexdigest() == PARENT_FORECAST_DIGESTS[confidence]
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("confidence", sorted(PARENT_FORECAST_DIGESTS))
+def test_forecasts_reproduce_the_parent_commit(monte_carlo_model, confidence):
+    """Binds the kernel to the parent's output, not to its siblings here."""
+    assert _forecast_digest(monte_carlo_model, confidence) == PARENT_FORECAST_DIGESTS[confidence]
+
+
+@pytest.mark.parametrize("confidence", sorted(EXACT_FORECAST_DIGESTS))
+def test_forecasts_on_the_exact_tables(rate_model, confidence):
+    """Binds the production tables, through the pinned kernel."""
+    assert _forecast_digest(rate_model, confidence) == EXACT_FORECAST_DIGESTS[confidence]
 
 
 class TestLikelihoodCache:

@@ -1,8 +1,8 @@
 """Golden-fixture suite for the queue-management grid (aqm × qlimit).
 
 Mirrors ``test_golden_matrix.py`` for the scenario-grid layer: the exact
-schema-v2 CSV and JSON bytes of a small ``aqm × qlimit × flows`` grid — the
-paper's Section 5.4/5.7 crossover, with per-flow metrics — are checked in
+schema-v2 CSV and JSON bytes of a small ``aqm × qlimit × flows × tunnelled``
+grid — the paper's Section 5.4/5.7 crossover, with per-flow metrics — are checked in
 under ``tests/fixtures/`` and must be reproduced bit-for-bit by the serial
 runner, the ``jobs=2`` process-pool runner, and a shared warmed pool.  Any
 drift in queue construction, CoDel decisions, per-flow accounting, or the
@@ -33,10 +33,12 @@ GOLDEN_CSV = FIXTURES / "golden_aqm_grid.csv"
 GOLDEN_JSON = FIXTURES / "golden_aqm_grid.json"
 
 #: the frozen grid: both disciplines x {deep buffer, 30 kB} x the paper's
-#: two-flow competing mix, per-flow metrics on
+#: two-flow competing mix, direct and through the Sprout tunnel, per-flow
+#: metrics on.  The direct cells are what the queue acts on: the tunnel
+#: keeps its queue too short for CoDel or the 30 kB limit to drop anything.
 GOLDEN_SPEC = GridSpec(
-    parameters=("aqm", "qlimit", "flows"),
-    values=((0.0, 1.0), (0.0, 30000.0), (2.0,)),
+    parameters=("aqm", "qlimit", "flows", "tunnelled"),
+    values=((0.0, 1.0), (0.0, 30000.0), (2.0,), (0.0, 1.0)),
     schemes=("Sprout",),
     links=("AT&T LTE uplink",),
 )

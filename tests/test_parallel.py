@@ -172,19 +172,17 @@ def test_a_failing_task_raises_from_the_collector_and_leaves_no_worker(jobs):
     assert multiprocessing.active_children() == []
 
 
-# ------------------------------------------- model builds as gated pool tasks
+# ------------------------------------------------- models built on demand
 #
-# Counts, not clocks: on a cold cache directory a pooled batch must build
-# each distinct missing model exactly once across the whole process tree,
-# and the gate must only order work, never decide an outcome.
+# Counts, not clocks: a cell builds the model its own Sprout needs, in the
+# process that runs it; the parent of a pooled batch builds none, and no
+# cell without a model makes a worker build one.
 
 import hashlib
 import multiprocessing
 import os
 import threading
-from collections import Counter
 from concurrent.futures import Future
-from contextlib import nullcontext
 
 from repro.core.connection import SproutConfig
 from repro.core.rate_model import (
@@ -192,8 +190,6 @@ from repro.core.rate_model import (
     RateModelParams,
     clear_shared_models,
     model_cache,
-    model_cache_directory,
-    model_key,
 )
 from repro.experiments.exports import export_csv
 from repro.experiments.parallel import active_pool, run_cells, shared_pool
@@ -202,7 +198,7 @@ from repro.experiments.registry import sprout_variant
 from repro.experiments.sweeps import GridSpec, expand_grid, run_grid
 from repro.metrics.summary import SchemeResult
 
-#: a Sprout whose models build in ~0.2 s (32 rate bins), swept over sigma
+#: a Sprout with a 32-bin model, swept over sigma
 SMALL_SPROUT = sprout_variant(
     "Sprout-32", SproutConfig(model_params=RateModelParams(num_bins=32))
 )
@@ -213,7 +209,7 @@ COLLECT = ErrorPolicy(on_error="collect")
 
 
 def _grid_keys(sigmas=SIGMAS):
-    return [model_key(RateModelParams(num_bins=32, sigma=sigma)) for sigma in sigmas]
+    return [f"{sigma:g}" for sigma in sigmas]
 
 
 def _digest(data) -> str:
@@ -222,30 +218,22 @@ def _digest(data) -> str:
 
 
 @pytest.fixture
-def cold_models(tmp_path):
-    """An empty model cache directory, and nothing memoised in this process."""
-    clear_shared_models()
-    directory = tmp_path / "models"
-    directory.mkdir()
-    with model_cache_directory(str(directory)):
-        yield directory
-    clear_shared_models()
-
-
-@pytest.fixture
 def build_log(tmp_path, monkeypatch):
-    """Every ``_build_artifact`` call of the process tree, as model keys.
+    """Every ``_build_artifact`` call of the process tree, one line each.
 
-    Patched before any pool exists, so forked workers inherit the wrapper;
+    Patched before any pool exists, so forked workers inherit the wrapper,
+    and with no model held in this process, so they inherit none either;
     one short ``O_APPEND`` write per build keeps concurrent lines whole.
     """
+    clear_shared_models()
+    model_cache().clear()
     path = tmp_path / "builds.log"
     path.touch()
     real = RateModel._build_artifact
 
     def logged(self):
         with open(path, "a") as handle:
-            handle.write(model_key(self.params, self.forecast_paths) + "\n")
+            handle.write(f"{self.params.sigma:g}\n")
         if self.params.sigma in logged.poisoned:
             raise RuntimeError(f"poisoned build: sigma={self.params.sigma:g}")
         if self.params.sigma in logged.lethal_in_workers:
@@ -257,39 +245,29 @@ def build_log(tmp_path, monkeypatch):
     logged.lethal_in_workers = set()
     logged.keys = lambda: path.read_text().split()
     monkeypatch.setattr(RateModel, "_build_artifact", logged)
-    return logged
+    yield logged
+    clear_shared_models()
+    model_cache().clear()
 
 
 @pytest.fixture(scope="module")
-def serial_grid_digest(tmp_path_factory):
-    clear_shared_models()
-    with model_cache_directory(str(tmp_path_factory.mktemp("serial-models"))):
-        return _digest(run_grid(MODEL_GRID, config=GRID_CONFIG, jobs=1))
+def serial_grid_digest():
+    return _digest(run_grid(MODEL_GRID, config=GRID_CONFIG, jobs=1))
 
 
-@pytest.mark.parametrize("policy", [None, COLLECT], ids=["fail_fast", "collect"])
-@pytest.mark.parametrize("pool", ["own", "shared"])
-def test_cold_models_build_once_each_across_the_process_tree(
-    cold_models, build_log, serial_grid_digest, pool, policy
-):
-    parent_lookups = model_cache().stats.as_dict()
-    with shared_pool(2) if pool == "shared" else nullcontext():
-        data = run_grid(MODEL_GRID, config=GRID_CONFIG, jobs=2, policy=policy)
+def test_disk_tier_off_builds_on_demand_with_no_build_task(build_log, serial_grid_digest):
+    """There is no disk tier to carry an artifact between processes: every
+    worker builds what its own cells need, and the parent builds nothing."""
+    cache = model_cache()
+    parent_lookups = cache.stats.as_dict()
+    data = run_grid(MODEL_GRID, config=GRID_CONFIG, jobs=2)
     assert _digest(data) == serial_grid_digest
-    assert Counter(build_log.keys()) == Counter(_grid_keys())
-    # Built in workers, published whole: the parent neither built nor loaded
-    # an artifact, and the directory holds the three files and no temporary.
-    assert model_cache().stats.as_dict() == parent_lookups
-    assert sorted(os.listdir(cold_models)) == sorted(f"{k}.npz" for k in _grid_keys())
-
-    # A second batch finds every model cached: no build task, no rebuild.
-    again = run_grid(MODEL_GRID, config=GRID_CONFIG, jobs=2, policy=policy)
-    assert _digest(again) == serial_grid_digest
-    assert len(build_log.keys()) == len(SIGMAS)
+    assert cache.stats.as_dict() == parent_lookups
+    assert set(build_log.keys()) == set(_grid_keys())
 
 
-def test_failed_build_surfaces_as_its_own_cells_errors(cold_models, build_log):
-    """The gate orders work; the per-cell error semantics decide outcomes."""
+def test_failed_build_surfaces_as_its_own_cells_errors(build_log):
+    """A model that cannot be built fails exactly the cells that need it."""
     build_log.poisoned.add(160.0)
     with pytest.raises(RuntimeError, match="poisoned build: sigma=160"):
         run_grid(MODEL_GRID, config=GRID_CONFIG, jobs=2)
@@ -305,89 +283,53 @@ def test_failed_build_surfaces_as_its_own_cells_errors(cold_models, build_log):
                 assert isinstance(outcome, SchemeResult)
 
 
-def test_disk_tier_off_builds_on_demand_with_no_build_task(
-    cold_models, build_log, serial_grid_digest, monkeypatch
-):
-    """No disk tier to carry an artifact between processes: the gate stands
-    down and every process builds what its own cells need, as with the
-    cache disabled."""
-    from repro.experiments.parallel import _ModelGate
-
-    monkeypatch.setenv("REPRO_MODEL_CACHE_DISK", "0")
-    cache = model_cache()
-    monkeypatch.setattr(cache, "use_disk", False)
-    queued = []
-    monkeypatch.setattr(_ModelGate, "submit_build", lambda *args: queued.append(args))
-    parent_lookups = cache.stats.as_dict()
-    data = run_grid(MODEL_GRID, config=GRID_CONFIG, jobs=2)
-    assert _digest(data) == serial_grid_digest
-    assert os.listdir(cold_models) == []
-    assert queued == []
-    # The workers built on demand; the parent neither built nor looked up.
-    assert cache.stats.as_dict() == parent_lookups
-    assert set(build_log.keys()) == set(_grid_keys())
-
-
 @pytest.mark.parametrize("error", [KeyboardInterrupt, RuntimeError])
-def test_error_mid_batch_cancels_outstanding_builds(cold_models, build_log, error):
-    """Six builds queued on two workers; the batch dies at once; most never run."""
+def test_error_mid_batch_cancels_outstanding_cells(tiny_config, error):
+    """An error in the parent mid-batch cancels the queued cells, reaps the
+    batch's own pool and leaves a shared pool usable."""
 
     def explode():
         raise error("mid-batch")
 
-    sigmas = (100.0, 120.0, 140.0, 160.0, 180.0, 240.0)
-    wide = GridSpec(("sigma",), (sigmas,), (SMALL_SPROUT,), tuple(LINKS_2[:1]))
-    # An unpicklable cell runs in the parent right after the first window
-    # (four tasks on two workers, all of them builds) is submitted.
-    cells = expand_grid(wide, GRID_CONFIG) + [
-        (SchemeSpec(name="exploding", factory=explode), LINKS_2[0], GRID_CONFIG)
+    # The unpicklable cell runs in the parent right after the first window
+    # (four cells on two workers) is submitted; eight more are queued.
+    cells = matrix_cells(["Vegas", "Skype"] * 3, LINKS_2, tiny_config) + [
+        (SchemeSpec(name="exploding", factory=explode), LINKS_2[0], tiny_config)
     ]
     threads_before = set(threading.enumerate())
     with pytest.raises(error, match="mid-batch"):
         run_cells(cells, jobs=2)
-    # Two builds were running and one more was already handed to a worker
-    # queue; the fourth was cancelled, the last two never submitted.
-    assert 1 <= len(build_log.keys()) <= 3
     assert multiprocessing.active_children() == []
     assert set(threading.enumerate()) <= threads_before
-    assert all(name.endswith(".npz") for name in os.listdir(cold_models))
 
-    # Under a shared pool the cancelled builds do not run later either,
-    # and the pool stays usable.
     with shared_pool(2):
         with pytest.raises(error, match="mid-batch"):
             run_cells(cells, jobs=2)
         assert active_pool().submit(int, "7").result(timeout=60) == 7
-    assert max(Counter(build_log.keys()).values()) == 1  # and none ran twice
     assert multiprocessing.active_children() == []
 
 
-def test_pooled_tcp_grid_builds_and_loads_no_model(cold_models, build_log, tiny_config):
-    """No cell reads a rate model, so no worker may build or write one."""
+def test_pooled_tcp_grid_builds_and_loads_no_model(build_log, tiny_config):
+    """No cell reads a rate model, so no worker may build one."""
     cells = matrix_cells(["Cubic", "Vegas"], LINKS_2, tiny_config)
     run_cells(cells, jobs=2)
     with shared_pool(2):
         run_cells(cells)
-    assert os.listdir(cold_models) == []
     assert build_log.keys() == []
 
 
 @pytest.mark.fault
 @pytest.mark.parametrize("max_pool_rebuilds", [8, 0], ids=["rebuild", "serial-drain"])
-def test_build_that_kills_its_worker_loses_no_cell(
-    cold_models, build_log, max_pool_rebuilds
-):
-    """The first build takes its worker (and so the pool) down with four more
-    queued behind it.  With rebuilds to spend, the queued builds run on the
-    new pool and the lethal model's cell ends up quarantined to the parent;
-    with none, every held cell drains serially and builds on demand.  Either
-    way every cell completes, bit-identical to the undisturbed serial run."""
+def test_build_that_kills_its_worker_loses_no_cell(build_log, max_pool_rebuilds):
+    """The first cell's model build takes its worker (and so the pool) down.
+    With rebuilds to spend, the other cells run on the new pool and the
+    lethal cell ends up quarantined to the parent; with none, the batch
+    drains serially.  Either way every cell completes, bit-identical to the
+    undisturbed serial run."""
     sigmas = (100.0, 120.0, 140.0, 160.0, 180.0, 240.0)
     wide = GridSpec(("sigma",), (sigmas,), (SMALL_SPROUT,), tuple(LINKS_2[:1]))
     cells = [("Vegas", LINKS_2[0], GRID_CONFIG)] + expand_grid(wide, GRID_CONFIG)
     reference = run_cells(cells, jobs=1)
-    for path in cold_models.iterdir():
-        path.unlink()
     clear_shared_models()
     model_cache().clear()
 
@@ -397,41 +339,6 @@ def test_build_that_kills_its_worker_loses_no_cell(
     assert [o.as_dict() for o in outcomes] == [r.as_dict() for r in reference]
     assert set(build_log.keys()) == set(_grid_keys(sigmas))
     assert multiprocessing.active_children() == []
-
-
-def test_model_gate_bookkeeping(cold_models):
-    """White box: what is held, what a lost pool puts back, what giving up frees."""
-    from repro.experiments.parallel import _ModelGate
-
-    class ParkedPool:
-        def submit(self, *args):
-            return Future()
-
-    cells = [("Vegas", LINKS_2[0], GRID_CONFIG)] + expand_grid(MODEL_GRID, GRID_CONFIG)
-    RateModel(RateModelParams(num_bins=32, sigma=SIGMAS[1]))  # cached: not gated
-    gate = _ModelGate(list(enumerate(cells)))
-    assert gate.open == [0, 3, 4]
-    first, last = list(gate.builds)
-    assert (first.sigma, last.sigma) == (SIGMAS[0], SIGMAS[2])
-    assert gate.held == {first: [1, 2], last: [5, 6]}
-
-    running = gate.submit_build(ParkedPool())
-    assert list(gate.builds) == [last] and gate.release(Future()) is None
-    gate.requeue_builds()  # the pool died under it: back to the front
-    assert list(gate.builds) == [first, last] and not gate.building
-    assert gate.release(running) is None  # the dead pool's future means nothing now
-
-    finished = gate.submit_build(ParkedPool())
-    assert gate.release(finished) == [1, 2]
-    assert gate.release_all() == [5, 6]  # given up on: built on demand
-    assert not (gate.builds or gate.building or gate.held)
-
-    # Without a disk tier to carry artifacts between workers the gate stands down.
-    model_cache().use_disk = False
-    try:
-        assert _ModelGate(list(enumerate(cells))).open == list(range(7))
-    finally:
-        model_cache().use_disk = True
 
 
 # ------------------------------------------------- one engine, derived window

@@ -1,9 +1,15 @@
 """Tests for the discretized doubly-stochastic rate model."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from monte_carlo import monte_carlo_cdfs
 from repro.core.rate_model import RateModel, RateModelParams, shared_rate_model
+from repro.experiments.analytic import sprout_forecast_moments
 
 
 def test_default_parameters_match_paper(rate_model):
@@ -183,7 +189,95 @@ def test_shared_model_is_memoised():
 
 def test_custom_model_small_grid_builds_quickly():
     params = RateModelParams(num_bins=32, max_rate=500.0, forecast_ticks=4)
-    model = RateModel(params, forecast_paths=500)
+    model = RateModel(params)
     assert model.transition.shape == (32, 32)
     forecast = model.cumulative_quantile(model.uniform_prior(), 0.05)
     assert len(forecast) == 4
+
+
+# ------------------------------------------------- the forecast tables (§3.3)
+#
+# The tables are the model's own distribution evolved exactly, so they are
+# held to the model itself: to what a CDF is, to the orderings the chain
+# implies, to its closed-form moments, and to a sampler of the same dynamics.
+
+
+def _assert_tables_are_ordered_cdfs(tables: np.ndarray) -> None:
+    """Zero tolerance: each row is a CDF (non-decreasing in ``n``, ending at
+    exactly 1), and the tables are non-increasing in the horizon ``j`` and
+    in the start bin ``i`` — more ticks and a faster start deliver more."""
+    assert tables.dtype == np.float32
+    assert np.all(tables[:, :, -1] == 1.0)
+    assert not np.any(np.diff(tables, axis=2) < 0)
+    assert not np.any(np.diff(tables, axis=0) > 0)
+    assert not np.any(np.diff(tables, axis=1) > 0)
+    # No entry is a sub-2**-24 tail: those are stored as exactly 0.
+    assert not np.any((tables > 0) & (tables < 2.0**-24))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    num_bins=st.integers(min_value=2, max_value=256),
+    max_rate=st.floats(min_value=50.0, max_value=1500.0),
+    tick=st.floats(min_value=0.005, max_value=0.05),
+    sigma=st.one_of(st.just(0.0), st.floats(min_value=1.0, max_value=600.0)),
+    outage_escape_rate=st.one_of(st.just(0.0), st.floats(min_value=0.1, max_value=20.0)),
+    forecast_ticks=st.integers(min_value=1, max_value=8),
+)
+@example(num_bins=256, max_rate=1000.0, tick=0.02, sigma=0.0, outage_escape_rate=1.0, forecast_ticks=8)
+@example(num_bins=256, max_rate=1000.0, tick=0.02, sigma=200.0, outage_escape_rate=0.0, forecast_ticks=8)
+@example(num_bins=32, max_rate=1000.0, tick=0.02, sigma=200.0, outage_escape_rate=1.0, forecast_ticks=8)
+@example(num_bins=256, max_rate=1000.0, tick=0.04, sigma=200.0, outage_escape_rate=1.0, forecast_ticks=8)
+def test_tables_are_ordered_cdfs(**fields):
+    model = RateModel(RateModelParams(**fields))
+    _assert_tables_are_ordered_cdfs(model.cumulative_cdfs)
+
+
+def test_default_tables_are_ordered_cdfs(rate_model):
+    _assert_tables_are_ordered_cdfs(rate_model.cumulative_cdfs)
+
+
+def test_interior_tables_have_the_models_moments(rate_model):
+    """Away from the grid's edges the chain is a discretely sampled Brownian
+    rate, so ``n`` ticks from rate ``r`` deliver ``r tau n`` packets on
+    average, with variance ``r tau n + sigma^2 tau^3 n(n+1)(2n+1)/6`` —
+    the closed form of :func:`sprout_forecast_moments` plus its
+    discrete-tick correction ``sigma^2 tau^3 (n^2/2 + n/6)``."""
+    params = rate_model.params
+    tau, sigma = params.tick, params.sigma
+    interior = slice(64, 193)
+    counts = np.arange(rate_model._max_count + 1)
+    for j, tables in enumerate(rate_model.cumulative_cdfs):
+        n = j + 1
+        cdf = tables[interior].astype(np.float64)
+        pmf = np.diff(cdf, axis=1, prepend=0.0)
+        mean = pmf @ counts
+        variance = pmf @ counts**2 - mean**2
+        for rate, got_mean, got_variance in zip(rate_model.rates[interior], mean, variance):
+            want_mean, want_variance = sprout_forecast_moments(rate, params, n)
+            want_variance += sigma**2 * tau**3 * (n * n / 2.0 + n / 6.0)
+            assert got_mean == pytest.approx(want_mean, rel=1e-4)
+            assert got_variance == pytest.approx(want_variance, rel=1e-2)
+
+
+def test_tables_converge_to_the_monte_carlo_sampler():
+    """The old sampler of the same dynamics converges on the tables: every
+    row outside the near-outage bins lies inside the Bonferroni-corrected
+    DKW band, and the sup-norm shrinks as the paths grow.  Near outage the
+    two differ by design: the sampler snaps rates in ``[0, spacing/2)`` to
+    the outage state while the chain gives bin 0 a whole bin of Gaussian
+    mass, and the tables side with the chain the belief evolves with."""
+    params = RateModelParams(num_bins=64, max_rate=500.0, forecast_ticks=4)
+    model = RateModel(params)
+    one_tick = params.sigma * math.sqrt(params.tick)
+    first = int(math.ceil(2.0 * one_tick / model.rates[1]))  # two one-tick sigmas
+    kept = model.cumulative_cdfs[:, first:]
+    rows = kept.shape[0] * kept.shape[1]
+    sup_norms = []
+    for paths in (1000, 4000, 16000):
+        sampled = monte_carlo_cdfs(model, paths=paths)[:, first:]
+        distance = np.abs(sampled - kept).max(axis=2)
+        band = math.sqrt(math.log(2.0 * rows / 0.05) / (2.0 * paths))
+        assert np.all(distance <= band), (paths, float(distance.max()), band)
+        sup_norms.append(float(distance.max()))
+    assert sup_norms == sorted(sup_norms, reverse=True)
