@@ -12,9 +12,8 @@ Package layout:
 
 * :mod:`repro.core` — the Sprout protocol itself (forecaster, sender,
   receiver, Sprout-EWMA variant);
-* :mod:`repro.cache` — the generic two-level (memory + disk)
-  keyed-artifact store behind the trace cache and the memory-only
-  model-artifact cache;
+* :mod:`repro.cache` — the in-process memo that keeps synthetic traces,
+  rate models and trace baselines once built;
 * :mod:`repro.simulation` — deterministic discrete-event substrate;
 * :mod:`repro.traces` — synthetic cellular-link traces, the Saturator, and
   trace analysis;

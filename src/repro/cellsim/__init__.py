@@ -1,16 +1,10 @@
 """Cellsim: trace-driven emulation of cellular links (Section 4.2)."""
 
 from repro.cellsim.cellsim import Cellsim, build_cellsim, cellsim_for_link, traces_for_link
-from repro.cellsim.codel import CODEL_INTERVAL, CODEL_TARGET, CoDelQueue
-from repro.cellsim.loss import BernoulliLossProcess
 
 __all__ = [
     "Cellsim",
     "build_cellsim",
     "cellsim_for_link",
     "traces_for_link",
-    "CoDelQueue",
-    "CODEL_TARGET",
-    "CODEL_INTERVAL",
-    "BernoulliLossProcess",
 ]

@@ -21,26 +21,15 @@ The default parameter values are exactly the paper's frozen values:
 
 The forecast tables are the rate model's own distribution evolved tick by
 tick (Section 3.3): a deterministic recursion, not a simulation, built in
-tens of milliseconds at paper parameters.  A model's arrays are still
-shared through one in-process **model-artifact cache** (the generic store
-of :mod:`repro.cache`, memory only), so every :class:`RateModel` with the
-same parameters holds the same frozen arrays.  Cached and freshly built
-models are bit-identical (``tests/test_model_cache.py``); see
-docs/performance.md ("Layer 3") for the knobs:
-
-* ``REPRO_MODEL_CACHE=0`` disables the cache entirely (every model
-  rebuilds);
-* ``REPRO_MODEL_CACHE_MAX`` bounds the in-process artifact layer;
-* ``REPRO_SHARED_MODEL_MAX`` bounds the :func:`shared_rate_model`
-  instance memoiser (the old hard-wired 8 thrashed on wide sweeps).
+tens of milliseconds at paper parameters.  ``RateModel(params)`` always
+builds; :func:`shared_rate_model` is the one memoised entry point, an
+in-process :class:`repro.cache.Memo` keyed on the frozen
+:class:`RateModelParams` (see docs/performance.md, "Layer 3").
 """
 
 from __future__ import annotations
 
 import math
-import os
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, Optional, Sequence
@@ -48,7 +37,7 @@ from typing import Dict, Optional, Sequence
 import numpy as np
 from scipy.special import gammainc, gammaln
 
-from repro.cache import ArtifactCache, env_positive_int
+from repro.cache import Memo
 
 #: entries kept in each per-model likelihood cache.  Saturator-style traffic
 #: produces byte counts from a small alphabet of packet sizes, so in practice
@@ -98,7 +87,7 @@ class RateModelParams:
             raise ValueError("forecast_ticks must be at least 1")
 
 
-# ------------------------------------------------------ model-artifact cache
+# ------------------------------------------------------------ table layout
 
 #: every `stride`-th CDF count column feeds the coarse quantile bracket
 _QUANTILE_STRIDE = 16
@@ -109,33 +98,6 @@ _QUANTILE_STRIDE = 16
 #: entries would otherwise be float32 subnormals, which slow the kernel's
 #: BLAS products by half again.
 _TABLE_FLOOR = 2.0**-24
-
-
-#: in-process artifact entries kept by default.  One paper-size artifact is
-#: 3.9 MB of frozen arrays (float32 tensor + companions; 6.6 MB at a 40 ms
-#: tick), so the bound is tighter than the trace cache's 64 — wide enough
-#: for any realistic sweep's distinct parameter sets, small enough that a
-#: pathological grid cannot pin gigabytes.
-DEFAULT_MODEL_ARTIFACTS = 16
-
-
-def _model_cache_from_env() -> ArtifactCache:
-    """The memory-only artifact cache, sized by ``REPRO_MODEL_CACHE*``."""
-    return ArtifactCache(
-        enabled=os.environ.get("REPRO_MODEL_CACHE", "1") != "0",
-        use_disk=False,
-        max_entries=env_positive_int("REPRO_MODEL_CACHE_MAX", DEFAULT_MODEL_ARTIFACTS),
-    )
-
-
-#: the process-wide model-artifact cache consulted by every RateModel,
-#: keyed on the (frozen, hashable) :class:`RateModelParams`
-_MODEL_CACHE = _model_cache_from_env()
-
-
-def model_cache() -> ArtifactCache:
-    """The process-wide model-artifact cache."""
-    return _MODEL_CACHE
 
 
 class RateModel:
@@ -157,11 +119,8 @@ class RateModel:
         # with headroom so the CDF always reaches ~1 inside the grid.
         self._max_count = int(math.ceil(p.max_rate * p.tick * p.forecast_ticks)) + 40
 
-        # Everything observation-independent comes from the model-artifact
-        # cache: built here once per parameter set and process, then shared.
-        # A disabled cache builds fresh every time; the arrays are
-        # bit-identical either way (tests/test_model_cache.py).
-        artifact = model_cache().get(p, self._build_artifact)
+        # Everything observation-independent, built as one frozen unit.
+        artifact = self._build_artifact()
         self.transition = artifact["transition"]
         self.cumulative_cdfs = artifact["cumulative_cdfs"]
         # Column-major companion tensor (ticks, counts, bins): each count
@@ -197,9 +156,8 @@ class RateModel:
     def _build_artifact(self) -> Dict[str, np.ndarray]:
         """Build every observation-independent array as one cacheable unit.
 
-        The arrays are frozen read-only before publication because the
-        cache shares them between every model instance with the same
-        parameters.
+        The arrays are frozen read-only because :func:`shared_rate_model`
+        hands one model to every connection with the same parameters.
         """
         p = self.params
         transition = self._build_transition_matrix()
@@ -631,60 +589,28 @@ class RateModel:
 
 # ----------------------------------------------------- shared-model memoiser
 
-#: shared model instances kept in-process by default.  The old hard-wired
-#: lru_cache(maxsize=8) thrashed on wide sweeps: a grid with more than 8
-#: distinct swept model parameter sets evicted and rebuilt inside one
-#: process.  Rebuilds are cheap now (an artifact-cache memory hit), but
-#: there is no reason to churn model instances at all for any realistic
-#: sweep width.
-DEFAULT_SHARED_MODELS = 32
-
-_SHARED_MODELS: "OrderedDict[RateModelParams, RateModel]" = OrderedDict()
-_SHARED_MODELS_LOCK = threading.Lock()
+#: models kept by :func:`shared_rate_model`.  One paper-size model holds
+#: 3.9 MB of frozen arrays (6.6 MB at a 40 ms tick), so the bound is wide
+#: enough for any realistic sweep's distinct parameter sets and small enough
+#: that a pathological grid cannot pin gigabytes.
+_MODELS = Memo(max_entries=16)
 
 
-def shared_model_capacity() -> int:
-    """Instances :func:`shared_rate_model` keeps (``REPRO_SHARED_MODEL_MAX``).
-
-    Malformed or non-positive values warn and fall back to
-    ``DEFAULT_SHARED_MODELS`` (:func:`repro.cache.env_positive_int`).
-    """
-    return env_positive_int("REPRO_SHARED_MODEL_MAX", DEFAULT_SHARED_MODELS)
+def model_cache() -> Memo:
+    """The process-wide memo behind :func:`shared_rate_model`."""
+    return _MODELS
 
 
 def clear_shared_models() -> None:
     """Drop every memoised shared model (used by tests)."""
-    with _SHARED_MODELS_LOCK:
-        _SHARED_MODELS.clear()
+    _MODELS.clear()
 
 
 def shared_rate_model(params: Optional[RateModelParams] = None) -> RateModel:
     """Return a memoised :class:`RateModel`.
 
     Every Sprout connection with the same (frozen) parameters shares one
-    instance because the model is immutable after construction.  The
-    memoiser is LRU-bounded by :func:`shared_model_capacity` (the capacity
-    is re-read per call, so tests and tools can retune it via
-    ``REPRO_SHARED_MODEL_MAX`` without rebuilding the table), and an
-    evicted entry's rebuild is an artifact-cache hit, not a recomputation.
+    instance because the model is immutable after construction.
     """
     key = params if params is not None else RateModelParams()
-    with _SHARED_MODELS_LOCK:
-        model = _SHARED_MODELS.get(key)
-        if model is not None:
-            _SHARED_MODELS.move_to_end(key)
-            return model
-    # Build outside the lock: construction costs tens of milliseconds, and a
-    # concurrent builder of the same key produces an interchangeable model
-    # (first publisher wins below).
-    model = RateModel(key)
-    with _SHARED_MODELS_LOCK:
-        existing = _SHARED_MODELS.get(key)
-        if existing is not None:
-            _SHARED_MODELS.move_to_end(key)
-            return existing
-        _SHARED_MODELS[key] = model
-        capacity = shared_model_capacity()
-        while len(_SHARED_MODELS) > capacity:
-            _SHARED_MODELS.popitem(last=False)
-    return model
+    return _MODELS.get(key, lambda: RateModel(key))

@@ -3,12 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional, Tuple, Union
 
 import numpy as np
 
 from repro.baselines.omniscient import omniscient_delay
+from repro.cache import Memo
 from repro.cellsim.cellsim import Cellsim, build_cellsim, cellsim_for_link, traces_for_link
 from repro.experiments.registry import SchemeSpec, get_scheme
 from repro.metrics.delay import arrivals_from_log, end_to_end_delay_95, self_inflicted_delay
@@ -75,7 +75,10 @@ def run_scheme_on_link(
     return collect_metrics(sim, spec.name, link_spec.name, cfg)
 
 
-@lru_cache(maxsize=16)
+#: 16 entries of a ~120 kB LTE trace's bytes bound the memo at about 2 MB
+_BASELINES = Memo(max_entries=16)
+
+
 def _trace_baselines(
     trace_bytes: bytes, propagation_delay: float, start: float, end: float
 ) -> Tuple[float, float]:
@@ -84,15 +87,18 @@ def _trace_baselines(
     Both are pure functions of the trace, and a grid's cells share a handful
     of traces, so they are memoised per process.  The key is the trace's
     *content* (its float64 bytes; ``link_trace`` hands every cell a fresh
-    copy, so identity would never hit); 16 entries of a ~120 kB LTE trace
-    bound the memo at about 2 MB.
+    copy, so identity would never hit).
     """
-    trace = np.frombuffer(trace_bytes, dtype=np.float64).tolist()
-    capacity = link_capacity_bps(trace, start, end)
-    base_delay = omniscient_delay(
-        trace, propagation_delay=propagation_delay, start_time=start, end_time=end
-    )
-    return capacity, base_delay
+
+    def build() -> Tuple[float, float]:
+        trace = np.frombuffer(trace_bytes, dtype=np.float64).tolist()
+        capacity = link_capacity_bps(trace, start, end)
+        base_delay = omniscient_delay(
+            trace, propagation_delay=propagation_delay, start_time=start, end_time=end
+        )
+        return capacity, base_delay
+
+    return _BASELINES.get((trace_bytes, propagation_delay, start, end), build)
 
 
 def collect_metrics(

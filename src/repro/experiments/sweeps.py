@@ -7,7 +7,7 @@ paper's frozen parameters.  This module generalises that into N-dimensional
 the Cartesian product of every ``coordinate × scheme × link`` combination
 into an explicit matrix cell and runs the whole flattened batch through
 :func:`repro.experiments.parallel.run_cells` — one worker pool for the
-entire grid, with the shared trace cache (:mod:`repro.traces.cache`)
+entire grid, with the per-process trace memo (:mod:`repro.traces.cache`)
 deduplicating trace generation across cells and each distinct swept
 :class:`RateModelParams` built on demand, at most once per worker.  A
 classic single-parameter sweep is a one-axis grid.
@@ -42,7 +42,7 @@ Sweepable axes (full semantics in ``docs/scenarios.md``):
     Queue discipline of the emulated link's bottleneck queues (§5.4):
     ``0`` is the deep drop-tail buffer, ``1`` applies CoDel to both
     directions.  Carried on a copy of the link spec, so the trace (and the
-    trace cache) are shared across disciplines — every discipline sees the
+    trace memo) are shared across disciplines — every discipline sees the
     identical delivery schedule, as the paper's comparison requires.
 ``qlimit``
     Byte limit of the bottleneck queues; ``0`` keeps the deep

@@ -154,20 +154,6 @@ def self_inflicted_delay(protocol_delay_95: float, omniscient_delay_95: float) -
     return max(0.0, protocol_delay_95 - omniscient_delay_95)
 
 
-def per_packet_delays(arrivals: Sequence[Arrival]) -> List[float]:
-    """One-way delay of each delivered packet, in arrival order.
-
-    The live transport measures delay from *real* timestamps: the sender
-    stamps each datagram with its monotonic send time and the receiver
-    subtracts it on arrival.  Over loopback both stamps come from the same
-    clock, so the differences are true one-way delays; the instantaneous
-    delay *signal* above is the right tool for the simulator's evaluation
-    windows, while these raw per-packet values back the live harness's
-    percentile report (Snippet-1-style speed-test output).
-    """
-    return [arrival_time - send_time for arrival_time, send_time in arrivals]
-
-
 def delay_percentiles(
     delays: Sequence[float],
     percentiles: Sequence[float] = (50.0, 95.0, 99.0),

@@ -57,9 +57,6 @@ class Queue:
         """Total bytes currently queued."""
         raise NotImplementedError
 
-    def drop_from_head_of_longest(self) -> None:  # pragma: no cover - tunnel only
-        raise NotImplementedError
-
 
 class DropTailQueue(Queue):
     """FIFO queue that drops arriving packets once a byte limit is reached.

@@ -21,8 +21,8 @@ The value is a JSON list of clause objects.  Each clause:
     so a ``cell_timeout`` expires first;
     ``exit`` — ``os._exit(exit_code)``, killing the worker process hard
     (this is what breaks a ``ProcessPoolExecutor``);
-    ``corrupt`` — drop every model artifact this process holds (the
-    shared-model memo and the model-artifact cache), then (when
+    ``corrupt`` — drop every rate model this process holds (the
+    :func:`~repro.core.rate_model.shared_rate_model` memo), then (when
     ``strict``) raise :class:`InjectedCorruptArtifact` so the cell fails
     and its *retry* must rebuild the model from scratch.
 ``scheme``, ``link``
@@ -146,15 +146,10 @@ def parse_fault_spec(text: str) -> List[FaultClause]:
 
 
 def _drop_model_artifacts() -> None:
-    """Forget every model artifact this process holds.
-
-    Clears the shared-model memo and the model-artifact cache, so the next
-    model construction in this process builds from scratch.
-    """
-    from repro.core.rate_model import clear_shared_models, model_cache
+    """Forget every rate model this process holds, so the next one builds."""
+    from repro.core.rate_model import clear_shared_models
 
     clear_shared_models()
-    model_cache().clear()
 
 
 def _fire(clause: FaultClause, scheme: str, link: str, attempt: int) -> None:

@@ -11,7 +11,7 @@ the paper's eight links, a Saturator implementation, and analysis helpers
 used to regenerate Figure 2.
 """
 
-from repro.traces.cache import TraceCache, cached_trace, configure as configure_trace_cache, global_cache
+from repro.traces.cache import global_cache
 from repro.traces.channel import ChannelConfig, CellularChannel
 from repro.traces.format import read_trace, write_trace, trace_duration
 from repro.traces.synthetic import generate_trace
@@ -37,9 +37,6 @@ from repro.traces.analysis import (
 )
 
 __all__ = [
-    "TraceCache",
-    "cached_trace",
-    "configure_trace_cache",
     "global_cache",
     "ChannelConfig",
     "CellularChannel",

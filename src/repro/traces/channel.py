@@ -129,7 +129,7 @@ class CellularChannel:
             # Ornstein-Uhlenbeck step around the mean rate.
             noise = self._rng.normal(0.0, cfg.volatility * sqrt_dt)
             rate += theta * (cfg.mean_rate - rate) * cfg.time_step + noise
-            rate = float(np.clip(rate, 0.0, cfg.max_rate))
+            rate = min(max(rate, 0.0), cfg.max_rate)
 
             # Slow multiplicative fading (mobility / scheduling effects).
             if cfg.fade_depth > 0:
@@ -168,7 +168,7 @@ class CellularChannel:
             start = i * cfg.time_step
             offsets = self._rng.uniform(0.0, cfg.time_step, size=count)
             offsets.sort()
-            times.extend(start + o for o in offsets)
+            times.extend((offsets + start).tolist())
         # Guard: a trace must contain at least one opportunity for the
         # emulator to have a meaningful period.
         if not times:

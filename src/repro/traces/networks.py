@@ -28,8 +28,9 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.simulation.queues import QueueConfig
-from repro.traces.cache import global_cache
+from repro.traces.cache import global_cache, trace_key
 from repro.traces.channel import ChannelConfig
+from repro.traces.synthetic import generate_trace
 
 #: trace length used by default throughout the experiment harness (seconds).
 #: The paper uses ~17 minute traces; 120 s keeps the full evaluation matrix
@@ -44,7 +45,7 @@ class LinkSpec:
     ``queue`` carries an optional bottleneck-queue configuration into the
     emulation (``None`` for the registry presets — the deep drop-tail buffer
     of the paper's carriers).  The ``aqm``/``qlimit`` sweep axes produce
-    variants of a registry link with this field set; the trace cache keys on
+    variants of a registry link with this field set; the trace memo keys on
     the channel config alone, so all queue variants of one link share the
     identical delivery trace, exactly as the paper's Section 5.4 comparison
     requires.
@@ -229,14 +230,16 @@ def link_trace(
     Memoisation goes through :mod:`repro.traces.cache`, keyed by the link's
     full channel configuration (not its name), so sweep-modified variants of
     a registry link get their own traces.  The returned list is a defensive
-    copy — mutating it cannot corrupt the cache.
+    copy — mutating it cannot corrupt the memo.
 
     ``seed_offset`` selects an alternative realisation of the same channel
     (used, e.g., to give the feedback direction of an experiment a trace that
     is statistically identical to but independent from the data direction).
     """
+    config, duration, seed = link.config, float(duration), int(link.seed) + int(seed_offset)
     return list(
-        global_cache().trace(
-            link.config, float(duration), int(link.seed) + int(seed_offset)
+        global_cache().get(
+            trace_key(config, duration, seed),
+            lambda: tuple(generate_trace(config, duration, seed=seed)),
         )
     )

@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from repro.core.rate_model import RateModel, model_cache
+from repro.core.rate_model import RateModel
 
 #: sample paths per rate bin of the old production tables
 DEFAULT_FORECAST_PATHS = 4000
@@ -26,20 +26,16 @@ FORECAST_SEED = 20130419
 def model_with_tables(params, tables: np.ndarray) -> RateModel:
     """A :class:`RateModel` whose forecast tables are ``tables``.
 
-    Built with the model cache off, so the substitute artifact never
-    reaches another model with the same parameters.
+    ``RateModel(params)`` builds outside the :func:`shared_rate_model`
+    memo, so the substitute tables never reach another model with the same
+    parameters.
     """
 
     class WithTables(RateModel):
         def _build_cumulative_cdfs(self, transition: np.ndarray) -> np.ndarray:
             return tables
 
-    cache = model_cache()
-    enabled, cache.enabled = cache.enabled, False
-    try:
-        return WithTables(params)
-    finally:
-        cache.enabled = enabled
+    return WithTables(params)
 
 
 def monte_carlo_cdfs(

@@ -1,45 +1,17 @@
-"""Tests for the Cellsim emulator assembly and loss injection."""
+"""Tests for the Cellsim emulator assembly."""
 
 import pytest
 
 from repro.baselines.base import AckingReceiver
 from repro.baselines.reno import RenoSender
 from repro.cellsim.cellsim import build_cellsim, cellsim_for_link, traces_for_link
-from repro.cellsim.codel import CODEL_INTERVAL, CODEL_TARGET, CoDelQueue
-from repro.cellsim.loss import BernoulliLossProcess
-from repro.simulation.queues import DropTailQueue
+from repro.simulation.queues import CoDelQueue, DropTailQueue
 from repro.traces.networks import get_link
 
 
 def test_codel_constants_match_published_defaults():
-    assert CODEL_TARGET == pytest.approx(0.005)
-    assert CODEL_INTERVAL == pytest.approx(0.100)
-
-
-class TestBernoulliLoss:
-    def test_zero_rate_never_drops(self):
-        loss = BernoulliLossProcess(0.0)
-        assert not any(loss.should_drop() for _ in range(1000))
-        assert loss.observed_loss_rate == 0.0
-
-    def test_rate_respected_statistically(self):
-        loss = BernoulliLossProcess(0.25, seed=3)
-        drops = sum(loss.should_drop() for _ in range(20000))
-        assert drops / 20000 == pytest.approx(0.25, abs=0.02)
-        assert loss.observed_loss_rate == pytest.approx(0.25, abs=0.02)
-
-    def test_invalid_rate_rejected(self):
-        with pytest.raises(ValueError):
-            BernoulliLossProcess(1.0)
-        with pytest.raises(ValueError):
-            BernoulliLossProcess(-0.1)
-
-    def test_reset_statistics(self):
-        loss = BernoulliLossProcess(0.5, seed=0)
-        for _ in range(10):
-            loss.should_drop()
-        loss.reset_statistics()
-        assert loss.offered == 0 and loss.dropped == 0
+    assert CoDelQueue.TARGET == pytest.approx(0.005)
+    assert CoDelQueue.INTERVAL == pytest.approx(0.100)
 
 
 class TestCellsimAssembly:

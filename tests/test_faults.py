@@ -3,11 +3,12 @@
 Every recovery path is driven by the deterministic injection harness
 (:mod:`repro.testing.faults`, armed through ``REPRO_FAULT_SPEC``): a cell
 raising in a warmed pool, a worker hanging past the cell timeout, a worker
-exiting hard (breaking the process pool), and a corrupted on-disk model
-artifact.  The centrepiece is the acceptance grid: a 3 × 3 grid with one
-crashing, one hanging, and one corrupt-artifact cell that must complete
-under ``collect``, export as schema v3, render its failure section, and
-resume from a checkpoint re-running only the failed cells.
+exiting hard (breaking the process pool), and a worker whose in-memory
+rate models are dropped mid-batch.  The centrepiece is the acceptance grid:
+a 3 × 3 grid with one crashing, one hanging, and one corrupt-artifact cell
+that must complete under ``collect``, export as schema v5, render its
+failure section, and resume from a checkpoint re-running only the failed
+cells.
 
 Marked ``fault`` (``make test-fault`` runs just this file); the suite also
 runs under the full tier-1 pass.
@@ -204,7 +205,7 @@ def test_cell_breaking_the_pool_twice_is_quarantined(monkeypatch, clean_outcomes
 
 
 def test_corrupt_model_artifact_heals_on_retry(monkeypatch):
-    """A corrupted ``.npz`` fails the strict cell; the retry rebuilds the
+    """Dropping the held models fails the strict cell; the retry rebuilds the
     model from scratch and must reproduce the clean result bit-for-bit."""
     reference = run_scheme_on_link("Sprout", LINK, CONFIG)
     _arm(monkeypatch, {"kind": "corrupt", "scheme": "Sprout", "times": 1})
@@ -238,10 +239,10 @@ def clean_grid():
 def test_acceptance_grid_collects_three_failures(
     monkeypatch, tmp_path, clean_grid
 ):
-    """The issue's acceptance scenario, end to end: a 3 × 3 grid with one
+    """The acceptance scenario, end to end: a 3 × 3 grid with one
     crashing, one hanging, and one corrupt-artifact cell completes under
     ``collect``, returns 6 results + 3 structured errors in order, exports
-    as schema v3, renders the failure section, and a checkpointed re-run
+    as schema v5, renders the failure section, and a checkpointed re-run
     re-executes exactly the 3 failed cells."""
     checkpoint = str(tmp_path / "grid.ckpt.jsonl")
     policy = ErrorPolicy(on_error="collect", cell_timeout=6.0, checkpoint=checkpoint)

@@ -1,10 +1,10 @@
-"""Correctness of the in-process model-artifact cache.
+"""Correctness of the one rate-model memo behind :func:`shared_rate_model`.
 
-Cached and uncached model builds are **bit-identical** (same array values,
-dtypes, everything the forecast can observe); the memory layer shares one
-frozen set of arrays between every model with the same parameters; and the
-:func:`shared_rate_model` memoiser no longer thrashes on sweeps wider than
-the old hard-wired eight entries.
+``RateModel(params)`` always builds; memoised and freshly built models are
+**bit-identical** (same array values, dtypes, everything the forecast can
+observe); a memo hit hands back the one shared instance, whose arrays are
+frozen; and the memo does not thrash on sweeps wider than the old
+hard-wired eight entries.
 """
 
 from __future__ import annotations
@@ -13,10 +13,8 @@ import numpy as np
 import pytest
 
 from repro.core.rate_model import (
-    DEFAULT_MODEL_ARTIFACTS,
     RateModel,
     RateModelParams,
-    _model_cache_from_env,
     clear_shared_models,
     model_cache,
     shared_rate_model,
@@ -31,7 +29,7 @@ ARRAY_ATTRS = ("transition", "cumulative_cdfs", "_cdf_cols", "_cdf_coarse")
 
 @pytest.fixture
 def scoped_cache():
-    """The process-wide model cache, empty and with fresh counters."""
+    """The process-wide model memo, empty and with fresh counters."""
     from repro.cache import CacheStats
 
     cache = model_cache()
@@ -61,78 +59,40 @@ def _assert_models_bit_identical(a: RateModel, b: RateModel) -> None:
 def test_cache_on_and_off_builds_are_bit_identical(scoped_cache):
     """The acceptance bar, on a non-default parameter set."""
     scoped_cache.enabled = False
-    fresh = RateModel(SMALL)
+    fresh = shared_rate_model(SMALL)
     scoped_cache.enabled = True
-    stored = RateModel(SMALL)  # miss: builds and publishes
-    hit = RateModel(SMALL)  # memory hit
+    stored = shared_rate_model(SMALL)  # miss: builds and publishes
+    hit = shared_rate_model(SMALL)  # memory hit
     assert scoped_cache.stats.as_dict() == {"memory_hits": 1, "disk_hits": 0, "misses": 1}
-    assert not scoped_cache.use_disk  # a model is never written anywhere
-    for cached in (stored, hit):
-        _assert_models_bit_identical(fresh, cached)
+    assert hit is stored
+    for model in (stored, RateModel(SMALL)):
+        _assert_models_bit_identical(fresh, model)
 
 
 def test_memory_hits_share_the_frozen_arrays(scoped_cache):
-    first = RateModel(SMALL)
-    second = RateModel(SMALL)
+    first = shared_rate_model(SMALL)
+    second = shared_rate_model(SMALL)
     assert second.transition is first.transition  # shared, not copied
+    assert RateModel(SMALL).transition is not first.transition  # a plain build
     with pytest.raises(ValueError):
         first.transition[0, 0] = 0.5  # read-only: cross-model poisoning impossible
 
 
-def test_from_env_tolerates_malformed_max(monkeypatch, caplog):
-    """Unparseable or non-positive knobs warn and use the default — never an
-    import-time crash and never a silent clamp to 1 (which looked like a
-    mysterious perf cliff)."""
-    import logging
-
-    for bad in ("banana", "0", "-5"):
-        caplog.clear()
-        monkeypatch.setenv("REPRO_MODEL_CACHE_MAX", bad)
-        with caplog.at_level(logging.WARNING, logger="repro.cache"):
-            built = _model_cache_from_env()
-        assert built.max_entries == DEFAULT_MODEL_ARTIFACTS
-        assert "REPRO_MODEL_CACHE_MAX" in caplog.text  # names the culprit
-    # An unset (or empty) knob is not a misconfiguration: no warning.
-    caplog.clear()
-    monkeypatch.delenv("REPRO_MODEL_CACHE_MAX", raising=False)
-    with caplog.at_level(logging.WARNING, logger="repro.cache"):
-        built = _model_cache_from_env()
-    assert built.max_entries == DEFAULT_MODEL_ARTIFACTS
-    assert caplog.text == ""
-
-
-def test_shared_model_capacity_warns_and_defaults_on_bad_env(monkeypatch, caplog):
-    """REPRO_SHARED_MODEL_MAX goes through the same warn-and-default parse."""
-    import logging
-
-    from repro.core.rate_model import DEFAULT_SHARED_MODELS, shared_model_capacity
-
-    for bad in ("garbage", "-3", "0"):
-        caplog.clear()
-        monkeypatch.setenv("REPRO_SHARED_MODEL_MAX", bad)
-        with caplog.at_level(logging.WARNING, logger="repro.cache"):
-            assert shared_model_capacity() == DEFAULT_SHARED_MODELS
-        assert "REPRO_SHARED_MODEL_MAX" in caplog.text
-    monkeypatch.setenv("REPRO_SHARED_MODEL_MAX", "5")
-    assert shared_model_capacity() == 5
-
-
 def test_disabled_cache_writes_nothing(scoped_cache):
     scoped_cache.enabled = False
-    first, second = RateModel(SMALL), RateModel(SMALL)
+    first, second = shared_rate_model(SMALL), shared_rate_model(SMALL)
     assert first.transition is not second.transition  # built twice, kept nowhere
     assert scoped_cache.stats.as_dict() == {"memory_hits": 0, "disk_hits": 0, "misses": 0}
     scoped_cache.enabled = True
-    RateModel(SMALL)
+    shared_rate_model(SMALL)
     assert scoped_cache.stats.misses == 1  # nothing was stored while disabled
 
 
 # ------------------------------------------- shared_rate_model regression
 
 
-def test_shared_model_capacity_survives_wide_sweeps(monkeypatch):
+def test_shared_model_capacity_survives_wide_sweeps():
     """Regression: >8 distinct swept params no longer evict and rebuild."""
-    monkeypatch.delenv("REPRO_SHARED_MODEL_MAX", raising=False)
     clear_shared_models()
     try:
         from dataclasses import replace
@@ -150,7 +110,7 @@ def test_shared_model_capacity_survives_wide_sweeps(monkeypatch):
 def test_shared_model_capacity_is_configurable(monkeypatch):
     from dataclasses import replace
 
-    monkeypatch.setenv("REPRO_SHARED_MODEL_MAX", "2")
+    monkeypatch.setattr(model_cache(), "max_entries", 2)
     clear_shared_models()
     try:
         one, two, three = (replace(SMALL, sigma=150.0 + i) for i in range(3))
@@ -161,9 +121,8 @@ def test_shared_model_capacity_is_configurable(monkeypatch):
         assert shared_rate_model(three) is third
         assert shared_rate_model(two) is second
         assert shared_rate_model(one) is not first
-        # ... and nonsense values fall back to the default capacity.
-        monkeypatch.setenv("REPRO_SHARED_MODEL_MAX", "banana")
-        assert shared_rate_model(one) is shared_rate_model(one)
+        # ... and its rebuild is bit-identical.
+        _assert_models_bit_identical(first, shared_rate_model(one))
     finally:
         clear_shared_models()
 

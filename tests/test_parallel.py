@@ -255,7 +255,7 @@ def serial_grid_digest():
     return _digest(run_grid(MODEL_GRID, config=GRID_CONFIG, jobs=1))
 
 
-def test_disk_tier_off_builds_on_demand_with_no_build_task(build_log, serial_grid_digest):
+def test_workers_build_their_own_models_and_the_parent_none(build_log, serial_grid_digest):
     """There is no disk tier to carry an artifact between processes: every
     worker builds what its own cells need, and the parent builds nothing."""
     cache = model_cache()

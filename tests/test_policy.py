@@ -11,13 +11,10 @@ behavior (docs/robustness.md).  The end-to-end recovery paths live in
 from __future__ import annotations
 
 import json
-import logging
-import pickle
 from dataclasses import replace
 
 import pytest
 
-from repro.cache import ArtifactCache
 from repro.experiments import parallel
 from repro.experiments.parallel import run_cells
 from repro.experiments.policy import (
@@ -232,57 +229,3 @@ def test_run_cells_raises_on_silent_cell_loss(monkeypatch):
         run_cells(cells, jobs=1)
     assert exc_info.value.missing == [2]
 
-
-# ------------------------------------------------- cache disk degradation
-
-
-class _PickleCache(ArtifactCache):
-    """Minimal concrete cache for exercising the shared machinery."""
-
-    suffix = ".pkl"
-
-    def default_directory(self) -> str:  # pragma: no cover - directory is set
-        raise AssertionError("tests always set an explicit directory")
-
-    def write_artifact(self, handle, value) -> None:
-        pickle.dump(value, handle)
-
-    def read_artifact(self, path: str):
-        with open(path, "rb") as handle:
-            return pickle.load(handle)
-
-
-def test_unwritable_disk_degrades_to_memory_only(tmp_path, caplog):
-    """Satellite: ENOSPC/EACCES on a cache write logs once, then degrades."""
-    blocker = tmp_path / "not-a-directory"
-    blocker.write_text("a regular file where the cache directory should be")
-    cache = _PickleCache(directory=str(blocker / "cache"))
-    with caplog.at_level(logging.WARNING, logger="repro.cache"):
-        assert cache.get("k1", lambda: "v1") == "v1"
-        assert cache.get("k2", lambda: "v2") == "v2"
-    warnings = [r for r in caplog.records if "disk cache write failed" in r.message]
-    assert len(warnings) == 1  # first failure logs; later writes are silent
-    assert cache._disk_write_disabled
-    # The memory tier still serves: no rebuild for a cached key.
-    assert cache.get("k1", lambda: pytest.fail("memory tier lost")) == "v1"
-    assert cache.stats.memory_hits == 1
-
-
-def test_degraded_cache_still_reads_disk(tmp_path):
-    """A read-only shared cache directory keeps serving hits after degrade."""
-    directory = tmp_path / "cache"
-    writer = _PickleCache(directory=str(directory))
-    writer.get("shared", lambda: "artifact")  # published to disk
-    reader = _PickleCache(directory=str(directory))
-    reader._disk_write_disabled = True  # degraded earlier in its life
-    assert reader.get("shared", lambda: pytest.fail("disk read skipped")) == "artifact"
-    assert reader.stats.disk_hits == 1
-
-
-def test_configure_rearms_disk_writes(tmp_path):
-    cache = _PickleCache(directory=str(tmp_path / "a"))
-    cache._disk_write_disabled = True
-    cache.configure(directory=str(tmp_path / "b"))
-    assert not cache._disk_write_disabled
-    cache.get("k", lambda: "v")
-    assert (tmp_path / "b" / f"k{cache.suffix}").exists()

@@ -92,10 +92,10 @@ def omniscient_calls(monkeypatch):
         calls.append(kwargs)
         return real(trace, **kwargs)
 
-    runner._trace_baselines.cache_clear()
+    runner._BASELINES.clear()
     monkeypatch.setattr(runner, "omniscient_delay", counting)
     yield calls
-    runner._trace_baselines.cache_clear()
+    runner._BASELINES.clear()
 
 
 MEMO_LINK = "AT&T LTE uplink"
@@ -127,7 +127,7 @@ def test_propagation_window_and_trace_each_get_their_own_baseline(omniscient_cal
     ]
     results = run_cells(cells + cells)
     assert len(omniscient_calls) == 4
-    assert runner._trace_baselines.cache_info().currsize == 4
+    assert len(runner._BASELINES) == 4
     assert [c["propagation_delay"] for c in omniscient_calls] == [0.02, 0.05, 0.02, 0.02]
     assert results[4:] == results[:4]
     baselines = {(r.capacity_bps, r.omniscient_delay_95_s) for r in results}
@@ -152,8 +152,8 @@ def test_baseline_memo_is_keyed_on_trace_content(omniscient_calls):
 
 
 def test_baseline_memo_is_bounded(omniscient_calls):
-    cap = runner._trace_baselines.cache_info().maxsize
-    assert cap is not None and cap < 20
+    cap = runner._BASELINES.max_entries
+    assert cap < 20
     for n in range(20):
         trace = [0.01 * (n + 1) * k for k in range(1, 40)]
         memoised = runner._trace_baselines(
@@ -163,6 +163,6 @@ def test_baseline_memo_is_bounded(omniscient_calls):
             link_capacity_bps(trace, 0.0, 5.0),
             omniscient_delay(trace, propagation_delay=0.02, start_time=0.0, end_time=5.0),
         )
-        assert runner._trace_baselines.cache_info().currsize <= cap
+        assert len(runner._BASELINES) <= cap
     assert len(omniscient_calls) == 20
-    assert runner._trace_baselines.cache_info().currsize == cap
+    assert len(runner._BASELINES) == cap
