@@ -4,7 +4,7 @@
 PYTHON ?= python
 export PYTHONPATH := src:$(PYTHONPATH)
 
-.PHONY: test test-fast smoke test-fault test-oracle test-live test-chaos cov bench bench-batched bench-e2e bench-workload bench-pair pairs docs-check loc
+.PHONY: test test-fast test-explore smoke test-fault test-oracle test-live test-chaos cov bench bench-batched bench-e2e bench-workload bench-pair pairs docs-check loc
 
 ## full suite, including perf benchmarks (the tier-1 gate)
 test:
@@ -13,6 +13,11 @@ test:
 ## fastest inner-loop pass: no perf benchmarks, no golden-grid re-runs
 test-fast:
 	$(PYTHON) -m pytest -q -m "not perf and not golden"
+
+## the Hypothesis properties at random draws and 10x their examples, failures
+## kept in .hypothesis/ (tier-1 runs the derandomised `ci` profile; tests/conftest.py)
+test-explore:
+	$(PYTHON) -m pytest --hypothesis-profile=explore -m "not perf"
 
 ## fast smoke job: correctness tests only, no perf benchmarks
 smoke:

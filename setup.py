@@ -12,6 +12,7 @@ the ``cov`` extra below.
 from setuptools import setup
 
 setup(
+    install_requires=["numpy"],
     extras_require={
         # the fast suite and the property-based event-loop tests
         "test": ["pytest", "hypothesis"],

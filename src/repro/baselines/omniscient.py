@@ -33,10 +33,6 @@ class OmniscientResult:
     delay_95th: float
     arrivals: List[float]
 
-    @property
-    def delay_95th_ms(self) -> float:
-        return self.delay_95th * 1000.0
-
 
 def omniscient_schedule(
     delivery_times: Sequence[float],

@@ -35,9 +35,9 @@ from functools import lru_cache
 from typing import Dict, Optional, Sequence
 
 import numpy as np
-from scipy.special import gammainc, gammaln
 
 from repro.cache import Memo
+from repro.core._special import MAX_X, log_gamma, regularized_lower_gamma
 
 #: entries kept in each per-model likelihood cache.  Saturator-style traffic
 #: produces byte counts from a small alphabet of packet sizes, so in practice
@@ -79,6 +79,8 @@ class RateModelParams:
             raise ValueError("max_rate must be positive")
         if self.tick <= 0:
             raise ValueError("tick must be positive")
+        if self.max_rate * self.tick > MAX_X:
+            raise ValueError(f"max_rate * tick must be at most {MAX_X:g} packets per tick")
         if self.sigma < 0:
             raise ValueError("sigma must be non-negative")
         if self.outage_escape_rate < 0:
@@ -251,7 +253,7 @@ class RateModel:
         positive = self.packets_per_tick > 0
         deliveries = np.zeros((p.num_bins, carried))
         deliveries[positive] = np.exp(
-            counts * np.log(mean[positive]) - mean[positive] - gammaln(counts + 1.0)
+            counts * np.log(mean[positive]) - mean[positive] - log_gamma(counts + 1.0)
         )
         deliveries[~positive, 0] = 1.0
         size = 2 * carried  # no circular wrap into the carried counts
@@ -339,14 +341,16 @@ class RateModel:
                 return np.ones_like(self.packets_per_tick)
             likelihood = np.zeros_like(self.packets_per_tick)
             # P(N >= k) for Poisson(mu) equals the regularised lower
-            # incomplete gamma function gammainc(k, mu) (continuous in k).
-            likelihood[positive] = gammainc(packets_observed, self._mu_positive)
+            # incomplete gamma function P(k, mu) (continuous in k).
+            likelihood[positive] = regularized_lower_gamma(
+                packets_observed, self._mu_positive
+            )
             return likelihood
         likelihood = np.zeros_like(self.packets_per_tick)
         log_pmf = (
             packets_observed * self._log_mu_positive
             - self._mu_positive
-            - gammaln(packets_observed + 1.0)
+            - math.lgamma(packets_observed + 1.0)
         )
         likelihood[positive] = np.exp(log_pmf)
         # The outage bin can only produce zero packets.

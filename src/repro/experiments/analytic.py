@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 from typing import List, Optional, Sequence, Tuple
 
 from repro.baselines.base import RttEstimator
@@ -302,13 +303,11 @@ def sprout_conservative_rate_pps(
     """
     if not 0.0 < confidence < 1.0:
         raise ValueError(f"confidence must be in (0, 1), got {confidence}")
-    from scipy.special import ndtri
-
     resolved = params if params is not None else RateModelParams()
     ticks = horizon_ticks if horizon_ticks is not None else resolved.forecast_ticks
     mean, variance = sprout_forecast_moments(rate_pps, resolved, ticks)
     horizon = ticks * resolved.tick
-    cautious = max(0.0, mean - float(ndtri(confidence)) * math.sqrt(variance))
+    cautious = max(0.0, mean - NormalDist().inv_cdf(confidence) * math.sqrt(variance))
     return cautious / horizon
 
 

@@ -34,13 +34,6 @@ class Figure7Data:
     def for_link(self, link: str) -> List[SchemeResult]:
         return [r for r in self.results if r.link == link]
 
-    def best_delay_scheme(self, link: str) -> Optional[str]:
-        """The scheme with the lowest self-inflicted delay on ``link``."""
-        rows = self.for_link(link)
-        if not rows:
-            return None
-        return min(rows, key=lambda r: r.self_inflicted_delay_s).scheme
-
 
 def figure7_cells(
     schemes: Optional[Sequence[str]] = None,

@@ -60,7 +60,3 @@ class Packet:
         if self.sent_at is None or self.delivered_at is None:
             return None
         return self.delivered_at - self.sent_at
-
-    def copy_headers(self) -> Dict[str, Any]:
-        """Return a shallow copy of the protocol headers."""
-        return dict(self.headers)

@@ -4,6 +4,15 @@ Full experiment runs are comparatively expensive (a Sprout run over a 60 s
 trace takes a few seconds), so integration-level fixtures use short traces
 and are session-scoped: the same measured results are reused by every test
 that inspects them.
+
+Hypothesis runs under one of two profiles.  ``ci``, loaded by default, draws
+its examples as a function of each test alone (``derandomize``) and keeps
+no example database, so a commit's tier-1 verdict does not depend on the
+run.  ``explore`` (``pytest --hypothesis-profile=explore``, ``make
+test-explore``) draws at random, replays and records failures in
+``.hypothesis/``, and runs each property :data:`EXPLORE_SCALE` times as many
+examples as its own ``max_examples``; a failure it finds belongs in tier-1
+as an ``@example``.
 """
 
 from __future__ import annotations
@@ -12,12 +21,42 @@ import os
 import threading
 
 import pytest
+from hypothesis import settings
 
 from repro.core.rate_model import RateModel, shared_rate_model
 from repro.experiments.runner import RunConfig, run_scheme_on_link
 from repro.traces.channel import ChannelConfig
 from repro.traces.networks import get_link, link_trace
 from repro.traces.synthetic import generate_trace
+
+#: how many times its own ``max_examples`` each property runs under ``explore``
+EXPLORE_SCALE = 10
+
+settings.register_profile("ci", derandomize=True, database=None)
+settings.register_profile("explore")
+settings.load_profile("ci")
+
+
+def pytest_collection_modifyitems(config, items):
+    """Scale every property's example count under the ``explore`` profile.
+
+    Each test's own ``@settings(max_examples=...)`` overrides any profile, so
+    the scale is applied to the settings Hypothesis keeps on the test, once
+    per test function however often it is parametrised.
+    """
+    if settings.get_current_profile_name() != "explore":
+        return
+    tests = {
+        getattr(item.obj, "__func__", item.obj)
+        for item in items
+        if isinstance(item, pytest.Function)
+    }
+    for test in tests:
+        own = getattr(test, "_hypothesis_internal_use_settings", None)
+        if own is not None:
+            test._hypothesis_internal_use_settings = settings(
+                own, max_examples=own.max_examples * EXPLORE_SCALE
+            )
 
 
 def _open_sockets():

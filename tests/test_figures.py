@@ -77,11 +77,9 @@ class TestFigure7:
         assert len(data.results) == 4
         assert set(data.by_link()) == {"AT&T LTE uplink", "AT&T LTE downlink"}
 
-    def test_for_link_and_best_delay(self, data):
+    def test_for_link(self, data):
         rows = data.for_link("AT&T LTE uplink")
         assert {r.scheme for r in rows} == {"Sprout-EWMA", "Vegas"}
-        assert data.best_delay_scheme("AT&T LTE uplink") in {"Sprout-EWMA", "Vegas"}
-        assert data.best_delay_scheme("unknown link") is None
 
     def test_render(self, data):
         text = render_figure7(data)

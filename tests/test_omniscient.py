@@ -32,7 +32,6 @@ def test_result_reports_full_capacity_throughput():
     trace = [i * 0.01 for i in range(1, 1001)]  # 100 pkt/s for 10 s
     result = omniscient_result(trace, start_time=0.0, end_time=10.0)
     assert result.throughput_bps == pytest.approx(100 * 1500 * 8, rel=0.01)
-    assert result.delay_95th_ms == pytest.approx(result.delay_95th * 1000)
 
 
 def test_omniscient_delay_is_a_lower_bound_for_schemes(sprout_lte_result):

@@ -35,10 +35,3 @@ def test_one_way_delay():
     packet.sent_at = 2.0
     packet.delivered_at = 2.3
     assert packet.one_way_delay == pytest.approx(0.3)
-
-
-def test_copy_headers_is_a_copy():
-    packet = Packet(headers={"a": 1})
-    copy = packet.copy_headers()
-    copy["a"] = 2
-    assert packet.headers["a"] == 1

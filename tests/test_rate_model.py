@@ -28,6 +28,8 @@ def test_parameter_validation():
     with pytest.raises(ValueError):
         RateModelParams(tick=0.0)
     with pytest.raises(ValueError):
+        RateModelParams(max_rate=1000.0, tick=1.0)  # 1000 packets per tick
+    with pytest.raises(ValueError):
         RateModelParams(sigma=-1.0)
     with pytest.raises(ValueError):
         RateModelParams(forecast_ticks=0)
