@@ -22,7 +22,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from repro.metrics.delay import percentile_of_delay_signal
-from repro.simulation.delay_box import DEFAULT_PROPAGATION_DELAY
+from repro.simulation.path import DEFAULT_PROPAGATION_DELAY
 
 
 @dataclass

@@ -16,10 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from repro.simulation.delay_box import DEFAULT_PROPAGATION_DELAY
 from repro.simulation.endpoints import Host, Protocol
 from repro.simulation.event_loop import EventLoop
-from repro.simulation.path import DuplexLinkConfig, DuplexPath
+from repro.simulation.path import DEFAULT_PROPAGATION_DELAY, DuplexLinkConfig, DuplexPath
 from repro.simulation.queues import QueueConfig
 from repro.traces.networks import (
     DEFAULT_TRACE_DURATION,

@@ -39,10 +39,16 @@ import numpy as np
 from repro.cache import Memo
 from repro.core._special import MAX_X, log_gamma, regularized_lower_gamma
 
-#: entries kept in each per-model likelihood cache.  Saturator-style traffic
-#: produces byte counts from a small alphabet of packet sizes, so in practice
-#: the hit rate is near 100% with far fewer distinct keys than this.
+#: entries kept in each per-model likelihood cache and in the shared memo
+#: behind them.  Saturator-style traffic produces byte counts from a small
+#: alphabet of packet sizes, so in practice the hit rate is near 100% with far
+#: fewer distinct keys than this.
 LIKELIHOOD_CACHE_SIZE = 4096
+
+#: likelihood vectors shared by every model on one rate grid: they depend on
+#: the candidate rates, the tick and the MTU, not on sigma or the outage
+#: escape rate, so a sigma sweep computes each one once per process
+_LIKELIHOODS = Memo(max_entries=LIKELIHOOD_CACHE_SIZE)
 
 from repro.simulation.packet import MTU_BYTES
 
@@ -296,7 +302,8 @@ class RateModel:
 
         Observations that fall exactly on the 1-byte grid (every real tick
         does: byte counters are integers) are served from a per-model LRU
-        cache; the returned array is then shared and marked read-only.
+        cache backed by a memo that every model on the same rate grid shares;
+        the returned array is then shared and marked read-only.
         """
         return self._likelihood(packets_observed, censored=False)
 
@@ -328,11 +335,15 @@ class RateModel:
         return self._compute_likelihood(packets_observed, censored)
 
     def _likelihood_for_key(self, key_bytes: int, censored: bool) -> np.ndarray:
-        likelihood = self._compute_likelihood(
-            key_bytes / self.params.mtu_bytes, censored
-        )
-        likelihood.flags.writeable = False
-        return likelihood
+        p = self.params
+
+        def build() -> np.ndarray:
+            likelihood = self._compute_likelihood(key_bytes / p.mtu_bytes, censored)
+            likelihood.flags.writeable = False
+            return likelihood
+
+        grid = (p.num_bins, p.max_rate, p.tick, p.mtu_bytes)
+        return _LIKELIHOODS.get((*grid, key_bytes, censored), build)
 
     def _compute_likelihood(self, packets_observed: float, censored: bool) -> np.ndarray:
         positive = self._positive_bins

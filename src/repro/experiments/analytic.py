@@ -49,8 +49,8 @@ from repro.experiments.policy import cell_scheme_name, is_cell_error
 from repro.experiments.registry import get_scheme
 from repro.experiments.runner import RunConfig
 from repro.experiments.sweeps import GridData, expand_grid
-from repro.simulation.delay_box import DEFAULT_PROPAGATION_DELAY
 from repro.simulation.packet import MTU_BYTES
+from repro.simulation.path import DEFAULT_PROPAGATION_DELAY
 from repro.simulation.queues import AQM_CODEL
 from repro.traces.channel import ChannelConfig
 from repro.traces.networks import LinkSpec, get_link

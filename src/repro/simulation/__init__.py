@@ -2,8 +2,8 @@
 
 This package provides the building blocks every experiment in the
 reproduction runs on: an event loop with a virtual clock, packets, queues,
-propagation-delay boxes, and trace-driven links.  The design mirrors the
-paper's Cellsim testbed (Section 4.2): packets entering a direction are
+and trace-driven links fed through propagation-delayed pipes.  The design
+mirrors the paper's Cellsim testbed (Section 4.2): packets entering a direction are
 delayed by the propagation delay, appended to a queue, and released from the
 head of the queue according to a recorded trace of delivery opportunities.
 
@@ -16,11 +16,15 @@ from repro.simulation.event_loop import EventLoop
 from repro.simulation.events import Event
 from repro.simulation.packet import MTU_BYTES, Packet
 from repro.simulation.queues import CoDelQueue, DropTailQueue, Queue
-from repro.simulation.delay_box import DEFAULT_PROPAGATION_DELAY, DelayBox
 from repro.simulation.link import TraceDrivenLink
 from repro.simulation.random import make_rng
 from repro.simulation.endpoints import Host, HostContext, Protocol
-from repro.simulation.path import DuplexLinkConfig, DuplexPath, OneWayPipe
+from repro.simulation.path import (
+    DEFAULT_PROPAGATION_DELAY,
+    DuplexLinkConfig,
+    DuplexPath,
+    OneWayPipe,
+)
 
 __all__ = [
     "DEFAULT_PROPAGATION_DELAY",
@@ -35,7 +39,6 @@ __all__ = [
     "Queue",
     "DropTailQueue",
     "CoDelQueue",
-    "DelayBox",
     "TraceDrivenLink",
     "DuplexLinkConfig",
     "DuplexPath",

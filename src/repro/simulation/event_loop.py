@@ -1,9 +1,8 @@
 """The discrete-event loop that drives every experiment.
 
 Scheduling is *batched*: events that land on the same instant are coalesced
-into one heap entry (a FIFO bucket), so a dense delivery trace that releases
-many packets per tick — each scheduling its propagation-delayed arrival at
-the identical time — costs O(ticks) heap operations instead of O(packets).
+into one heap entry (a FIFO bucket), so a burst of events scheduled for one
+instant costs one heap operation instead of one per event.
 The observable semantics are unchanged from a plain per-event heap: events
 fire in time order, ties break by scheduling order, and
 ``events_processed`` / ``pending_events`` count individual events, never

@@ -5,6 +5,15 @@ Section 4.2 describes Cellsim: propagation delay, then an optional Bernoulli
 loss process at the queue tail, then the queue, released by the trace-driven
 link.  A :class:`DuplexPath` pairs two pipes (uplink and downlink) between
 two hosts.
+
+The delay costs no event: :meth:`OneWayPipe.send` hands the packet to the
+link's arrival FIFO stamped ``now + propagation_delay``, and the link admits
+it at the first delivery opportunity at or after that instant (or at the
+first read of a counter after it) — loss draw, then ``queue.enqueue`` at the
+arrival time — which gives exactly what a per-packet delay event followed by
+an immediate enqueue gives, in the same loss-draw order
+(``tests/test_pipe_admission.py``).  An opportunity at the exact instant of
+an arrival serves it, a zero-delay arrival included.
 """
 
 from __future__ import annotations
@@ -14,12 +23,15 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from repro.simulation.delay_box import DEFAULT_PROPAGATION_DELAY, DelayBox
 from repro.simulation.event_loop import EventLoop
 from repro.simulation.link import TraceDrivenLink
 from repro.simulation.packet import MTU_BYTES, Packet
 from repro.simulation.queues import Queue, QueueConfig
 from repro.simulation.random import make_rng
+
+#: one-way propagation delay used throughout the paper's evaluation: it
+#: measures about 20 ms on its cellular links (40 ms minimum RTT)
+DEFAULT_PROPAGATION_DELAY = 0.020
 
 
 @dataclass
@@ -81,10 +93,13 @@ class OneWayPipe:
         rng: Optional[np.random.Generator] = None,
         name: str = "pipe",
     ) -> None:
+        if propagation_delay < 0:
+            raise ValueError("propagation delay must be non-negative")
         self.name = name
+        self.propagation_delay = propagation_delay
         self.loss_rate = loss_rate
         self._rng = rng if rng is not None else make_rng(0, name)
-        self.packets_lost = 0
+        self._lost = 0
         self.packets_offered = 0
 
         if queue_config is None:
@@ -92,27 +107,36 @@ class OneWayPipe:
                 use_codel=use_codel, byte_limit=queue_byte_limit
             )
         self.queue_config = queue_config
-        queue: Queue = queue_config.build()
-        self.queue = queue
-
-        self.link = TraceDrivenLink(loop, trace, deliver, queue=queue)
-        self.delay_box = DelayBox(loop, propagation_delay, self._after_propagation)
+        queue = queue_config.build()
+        self._enqueue = queue.enqueue
+        self.link = TraceDrivenLink(loop, trace, deliver, queue=queue, admit=self._admit)
 
     # ---------------------------------------------------------------- entry
 
     def send(self, packet: Packet, now: float) -> None:
         """Inject a packet into this direction of the link."""
         self.packets_offered += 1
-        self.delay_box.receive(packet, now)
+        self.link.arrive(packet, now + self.propagation_delay)
 
-    def _after_propagation(self, packet: Packet, now: float) -> None:
+    def _admit(self, packet: Packet, at: float) -> None:
         if self.loss_rate > 0.0 and self._rng.random() < self.loss_rate:
             packet.dropped = True
-            self.packets_lost += 1
+            self._lost += 1
             return
-        self.link.receive(packet, now)
+        self._enqueue(packet, at)
 
     # ------------------------------------------------------------ telemetry
+
+    @property
+    def queue(self) -> Queue:
+        """The bottleneck queue, with every arrival due by now admitted."""
+        return self.link.queue
+
+    @property
+    def packets_lost(self) -> int:
+        """Packets the loss process dropped, among those that arrived by now."""
+        self.link.settle()
+        return self._lost
 
     @property
     def bytes_delivered(self) -> int:

@@ -31,35 +31,12 @@ from repro.simulation.packet import Packet
 
 
 class Queue:
-    """Interface shared by all queue disciplines.
+    """The FIFO every queue discipline shares, dropping at the tail when full.
 
     A queue holds packets between their arrival at the bottleneck (after the
     propagation delay) and their release by the trace-driven link.  The link
-    calls :meth:`dequeue` once per packet it is able to deliver.
-    """
-
-    def enqueue(self, packet: Packet, now: float) -> bool:
-        """Add ``packet`` to the queue.  Returns False if it was dropped."""
-        raise NotImplementedError
-
-    def dequeue(self, now: float) -> Optional[Packet]:
-        """Remove and return the next packet, or None if empty."""
-        raise NotImplementedError
-
-    def peek(self) -> Optional[Packet]:
-        """Return the head-of-line packet without removing it."""
-        raise NotImplementedError
-
-    def __len__(self) -> int:
-        raise NotImplementedError
-
-    def byte_length(self) -> int:
-        """Total bytes currently queued."""
-        raise NotImplementedError
-
-
-class DropTailQueue(Queue):
-    """FIFO queue that drops arriving packets once a byte limit is reached.
+    calls :meth:`dequeue` once per packet it is able to deliver; the
+    disciplines differ only in what that does.
 
     Args:
         byte_limit: maximum number of queued bytes; ``None`` means unbounded,
@@ -83,17 +60,44 @@ class DropTailQueue(Queue):
         self.enqueues = 0
 
     def enqueue(self, packet: Packet, now: float) -> bool:
+        """Add ``packet`` to the queue.  Returns False if it was dropped."""
         if self.byte_limit is not None and self._bytes + packet.size > self.byte_limit:
-            packet.dropped = True
-            self.drops += 1
-            if self.on_drop is not None:
-                self.on_drop(packet)
+            self._drop(packet)
             return False
         packet.enqueued_at = now
         self._queue.append(packet)
         self._bytes += packet.size
         self.enqueues += 1
         return True
+
+    def _drop(self, packet: Packet) -> None:
+        packet.dropped = True
+        self.drops += 1
+        if self.on_drop is not None:
+            self.on_drop(packet)
+
+    def dequeue(self, now: float) -> Optional[Packet]:
+        """Remove and return the next packet, or None if empty."""
+        raise NotImplementedError
+
+    def peek(self) -> Optional[Packet]:
+        """Return the head-of-line packet without removing it."""
+        return self._queue[0] if self._queue else None
+
+    def __len__(self) -> int:
+        return len(self._queue)
+
+    def byte_length(self) -> int:
+        """Total bytes currently queued."""
+        return self._bytes
+
+
+class DropTailQueue(Queue):
+    """FIFO queue that drops arriving packets once a byte limit is reached.
+
+    Unbounded by default: the deep cellular buffers that produce the
+    "bufferbloat" delays the paper studies.
+    """
 
     def dequeue(self, now: float) -> Optional[Packet]:
         if not self._queue:
@@ -102,15 +106,6 @@ class DropTailQueue(Queue):
         self._bytes -= packet.size
         packet.dequeued_at = now
         return packet
-
-    def peek(self) -> Optional[Packet]:
-        return self._queue[0] if self._queue else None
-
-    def __len__(self) -> int:
-        return len(self._queue)
-
-    def byte_length(self) -> int:
-        return self._bytes
 
 
 class CoDelQueue(Queue):
@@ -137,36 +132,15 @@ class CoDelQueue(Queue):
     ) -> None:
         if target <= 0 or interval <= 0:
             raise ValueError("CoDel target and interval must be positive")
-        self._queue: Deque[Packet] = deque()
-        self._bytes = 0
+        super().__init__(byte_limit=byte_limit, on_drop=on_drop)
         self.target = target
         self.interval = interval
-        self.byte_limit = byte_limit
-        self.on_drop = on_drop
 
         # CoDel state machine
         self._first_above_time = 0.0
         self._drop_next = 0.0
         self._count = 0
         self._dropping = False
-
-        self.drops = 0
-        self.enqueues = 0
-
-    # -------------------------------------------------------------- enqueue
-
-    def enqueue(self, packet: Packet, now: float) -> bool:
-        if self.byte_limit is not None and self._bytes + packet.size > self.byte_limit:
-            packet.dropped = True
-            self.drops += 1
-            if self.on_drop is not None:
-                self.on_drop(packet)
-            return False
-        packet.enqueued_at = now
-        self._queue.append(packet)
-        self._bytes += packet.size
-        self.enqueues += 1
-        return True
 
     # -------------------------------------------------------------- dequeue
 
@@ -193,12 +167,6 @@ class CoDelQueue(Queue):
             elif now >= self._first_above_time:
                 ok_to_drop = True
         return packet, ok_to_drop
-
-    def _drop(self, packet: Packet) -> None:
-        packet.dropped = True
-        self.drops += 1
-        if self.on_drop is not None:
-            self.on_drop(packet)
 
     def dequeue(self, now: float) -> Optional[Packet]:
         packet, ok_to_drop = self._do_dequeue(now)
@@ -244,17 +212,6 @@ class CoDelQueue(Queue):
 
     def _control_law(self, t: float) -> float:
         return t + self.interval / math.sqrt(self._count)
-
-    # ------------------------------------------------------------ inspection
-
-    def peek(self) -> Optional[Packet]:
-        return self._queue[0] if self._queue else None
-
-    def __len__(self) -> int:
-        return len(self._queue)
-
-    def byte_length(self) -> int:
-        return self._bytes
 
 
 #: queue-discipline selectors for :class:`QueueConfig` (the ``aqm`` axis)

@@ -4,13 +4,22 @@ import pytest
 
 from repro.simulation.event_loop import EventLoop
 from repro.simulation.packet import Packet
-from repro.simulation.path import DuplexLinkConfig, DuplexPath, OneWayPipe
+from repro.simulation.path import (
+    DEFAULT_PROPAGATION_DELAY,
+    DuplexLinkConfig,
+    DuplexPath,
+    OneWayPipe,
+)
 from repro.simulation.queues import CoDelQueue, DropTailQueue
 
 
 def _dense_trace(rate_per_s: float, duration: float):
     step = 1.0 / rate_per_s
     return [i * step for i in range(1, int(duration * rate_per_s) + 1)]
+
+
+def test_default_delay_matches_paper():
+    assert DEFAULT_PROPAGATION_DELAY == pytest.approx(0.020)
 
 
 def test_min_rtt_is_twice_propagation_delay():

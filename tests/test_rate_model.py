@@ -189,6 +189,21 @@ def test_shared_model_is_memoised():
     assert shared_rate_model() is shared_rate_model()
 
 
+def test_models_on_one_rate_grid_share_likelihood_vectors():
+    """Likelihoods depend on the rates and the tick, not on sigma, so a
+    sigma sweep computes each vector once; a different grid does not share."""
+    small = dict(num_bins=32, max_rate=100.0, forecast_ticks=2)
+    first = RateModel(RateModelParams(sigma=50.0, **small))
+    second = RateModel(RateModelParams(sigma=300.0, outage_escape_rate=2.0, **small))
+    other_tick = RateModel(RateModelParams(sigma=50.0, tick=0.04, **small))
+    for packets, censored in ((3.0, False), (2.5, True)):
+        vector = first._likelihood(packets, censored)
+        assert second._likelihood(packets, censored) is vector
+        assert not vector.flags.writeable
+        assert other_tick._likelihood(packets, censored) is not vector
+        assert np.array_equal(vector, second._compute_likelihood(packets, censored))
+
+
 def test_custom_model_small_grid_builds_quickly():
     params = RateModelParams(num_bins=32, max_rate=500.0, forecast_ticks=4)
     model = RateModel(params)
