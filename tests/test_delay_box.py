@@ -1,54 +1,37 @@
-"""Tests for the propagation-delay element."""
+"""Tests for the propagation delay of a one-way pipe.
+
+The delay is no longer a separate element: :class:`OneWayPipe` hands each
+packet to its link's arrival FIFO, due ``propagation_delay`` after the send.
+"""
 
 import pytest
 
-from repro.simulation.delay_box import DEFAULT_PROPAGATION_DELAY, DelayBox
 from repro.simulation.event_loop import EventLoop
 from repro.simulation.packet import Packet
+from repro.simulation.path import OneWayPipe
 
 
-def test_default_delay_matches_paper():
-    assert DEFAULT_PROPAGATION_DELAY == pytest.approx(0.020)
+def _pipe(trace, delay, deliver):
+    loop = EventLoop()
+    return loop, OneWayPipe(loop, trace, deliver, propagation_delay=delay)
 
 
 def test_packets_delayed_by_fixed_amount():
-    loop = EventLoop()
     received = []
-    box = DelayBox(loop, 0.05, lambda p, t: received.append(t))
-    loop.schedule_at(1.0, box.receive, Packet(), 1.0)
+    loop, pipe = _pipe([1.05], 0.05, lambda p, t: received.append(t))
+    packet = Packet()
+    loop.schedule_at(1.0, lambda: pipe.send(packet, loop.now()))
     loop.run_until(2.0)
+    assert packet.enqueued_at == pytest.approx(1.05)
     assert received == [pytest.approx(1.05)]
 
 
 def test_order_preserved():
-    loop = EventLoop()
     received = []
-    box = DelayBox(loop, 0.02, lambda p, t: received.append(p.headers["i"]))
+    trace = [0.1 + 0.01 * k for k in range(5)]
+    loop, pipe = _pipe(trace, 0.02, lambda p, t: received.append(p.headers["i"]))
     for i in range(5):
-        loop.schedule_at(0.001 * i, box.receive, Packet(headers={"i": i}), 0.0)
+        packet = Packet(headers={"i": i})
+        loop.schedule_at(0.001 * i, lambda packet=packet: pipe.send(packet, loop.now()))
     loop.run_until(1.0)
     assert received == [0, 1, 2, 3, 4]
-
-
-def test_zero_delay_allowed():
-    loop = EventLoop()
-    received = []
-    box = DelayBox(loop, 0.0, lambda p, t: received.append(t))
-    loop.schedule_at(0.5, box.receive, Packet(), 0.5)
-    loop.run_until(1.0)
-    assert received == [pytest.approx(0.5)]
-
-
-def test_negative_delay_rejected():
-    with pytest.raises(ValueError):
-        DelayBox(EventLoop(), -0.01, lambda p, t: None)
-
-
-def test_packets_in_flight_counter():
-    loop = EventLoop()
-    box = DelayBox(loop, 0.1, lambda p, t: None)
-    box.receive(Packet(), 0.0)
-    box.receive(Packet(), 0.0)
-    assert box.packets_in_flight == 2
-    loop.run_until(0.2)
-    assert box.packets_in_flight == 0
