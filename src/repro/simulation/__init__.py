@@ -11,7 +11,6 @@ All timing is in seconds (floats) on a virtual clock; nothing here touches
 wall-clock time, so every run is exactly reproducible.
 """
 
-from repro.simulation.clock import Clock
 from repro.simulation.event_loop import EventLoop
 from repro.simulation.events import Event
 from repro.simulation.packet import MTU_BYTES, Packet
@@ -31,7 +30,6 @@ __all__ = [
     "Host",
     "HostContext",
     "Protocol",
-    "Clock",
     "Event",
     "EventLoop",
     "Packet",

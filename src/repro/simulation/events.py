@@ -2,31 +2,27 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable
 
 
-@dataclass(order=True, slots=True)
+@dataclass(eq=False, slots=True)
 class Event:
     """A single scheduled callback.
 
-    Events are ordered by ``(time, sequence)``.  The sequence number is a
+    The loop orders events by ``(time, sequence)``.  The sequence number is a
     monotonically increasing tiebreaker assigned by the event loop so that
     events scheduled for the same instant fire in FIFO order, which keeps the
-    simulation deterministic.
+    simulation deterministic.  An event is a handle to one scheduled call, so
+    events compare by identity.
     """
 
     time: float
     sequence: int
-    callback: Callable[..., Any] = field(compare=False)
-    args: tuple = field(default=(), compare=False)
-    cancelled: bool = field(default=False, compare=False)
+    callback: Callable[..., Any]
+    args: tuple = ()
+    cancelled: bool = False
 
     def cancel(self) -> None:
         """Mark the event so the loop skips it when it comes due."""
         self.cancelled = True
-
-    def fire(self) -> None:
-        """Invoke the callback unless the event has been cancelled."""
-        if not self.cancelled:
-            self.callback(*self.args)

@@ -92,10 +92,28 @@ def test_run_until_rejects_past_end_time():
         loop.run_until(2.0)
 
 
-def test_run_all_respects_max_events():
+def test_clock_starts_at_zero_by_default():
+    assert EventLoop().now() == 0.0
+
+
+def test_clock_starts_at_given_time():
+    assert EventLoop(5.5).now() == 5.5
+
+
+def test_clock_rejects_negative_start():
+    with pytest.raises(ValueError):
+        EventLoop(-1.0)
+
+
+def test_clock_advances_forward():
     loop = EventLoop()
-    fired = []
-    for i in range(10):
-        loop.schedule_at(float(i), fired.append, i)
-    loop.run_all(max_events=4)
-    assert fired == [0, 1, 2, 3]
+    loop.run_until(1.25)
+    assert loop.now() == 1.25
+    loop.run_until(1.25)  # running to the same instant is allowed
+    assert loop.now() == 1.25
+
+
+def test_clock_rejects_backward_motion():
+    loop = EventLoop(10.0)
+    with pytest.raises(ValueError):
+        loop.run_until(9.999)

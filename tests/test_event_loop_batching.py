@@ -1,22 +1,25 @@
-"""Equivalence of the batched event loop against an unbatched reference.
+"""Equivalence of the production event loop against the seed's scheduler.
 
-The production :class:`~repro.simulation.event_loop.EventLoop` coalesces
-same-instant events into one heap entry.  These tests hold it to
-bit-identical observable behaviour — fire order, fire times, clock
-positions, and the per-event ``events_processed`` / ``pending_events``
-accounting — against :class:`UnbatchedEventLoop`, a straight copy of the
-seed's one-heap-entry-per-event scheduler.
+The production :class:`~repro.simulation.event_loop.EventLoop` is a plain
+heap of ``(time, sequence, event)`` entries with a float clock.  These tests
+hold it to bit-identical observable behaviour — fire order, fire times, clock
+positions, and the ``events_processed`` / ``pending_events`` accounting —
+against :class:`UnbatchedEventLoop`, a copy of the seed's
+one-heap-entry-per-event scheduler.  The production loop once coalesced
+same-instant events into buckets, which is why the file and some test names
+speak of batches; the properties still draw programs that pile events onto
+one instant.
 
 The property-based tests feed both loops arbitrary interleaved
 ``schedule_at`` / ``schedule_after`` programs (including reentrant
-scheduling from inside callbacks, cancellations, staged ``run_until`` and
-``run_all`` with ``max_events``) generated by Hypothesis.
+scheduling from inside callbacks, cancellations and staged ``run_until``)
+generated by Hypothesis.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, List, Optional
+from typing import Any, Callable, List, Tuple
 
 import pytest
 
@@ -26,22 +29,25 @@ hypothesis = pytest.importorskip(
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.simulation.clock import Clock
 from repro.simulation.event_loop import EventLoop
 from repro.simulation.events import Event
 
 
 class UnbatchedEventLoop:
-    """The seed implementation: one heap entry per event (reference only)."""
+    """The seed implementation: one heap entry per event (reference only).
+
+    The seed ordered :class:`Event` objects by ``(time, sequence)``; the heap
+    holds that key explicitly, since events no longer define an order.
+    """
 
     def __init__(self, start: float = 0.0) -> None:
-        self.clock = Clock(start)
-        self._heap: List[Event] = []
+        self._now = float(start)
+        self._heap: List[Tuple[float, int, Event]] = []
         self._sequence = 0
         self._processed = 0
 
     def now(self) -> float:
-        return self.clock.now()
+        return self._now
 
     @property
     def events_processed(self) -> int:
@@ -52,42 +58,29 @@ class UnbatchedEventLoop:
         return len(self._heap)
 
     def schedule_at(self, time: float, callback: Callable[..., Any], *args: Any) -> Event:
-        if time < self.clock.now():
+        if time < self._now:
             raise ValueError("cannot schedule event in the past")
         event = Event(time=float(time), sequence=self._sequence, callback=callback, args=args)
         self._sequence += 1
-        heapq.heappush(self._heap, event)
+        heapq.heappush(self._heap, (event.time, event.sequence, event))
         return event
 
     def schedule_after(self, delay: float, callback: Callable[..., Any], *args: Any) -> Event:
         if delay < 0:
             raise ValueError("delay must be non-negative")
-        return self.schedule_at(self.clock.now() + delay, callback, *args)
+        return self.schedule_at(self._now + delay, callback, *args)
 
     def run_until(self, end_time: float) -> None:
-        if end_time < self.clock.now():
+        if end_time < self._now:
             raise ValueError("end_time is before current time")
-        while self._heap and self._heap[0].time <= end_time:
-            event = heapq.heappop(self._heap)
+        while self._heap and self._heap[0][0] <= end_time:
+            _, _, event = heapq.heappop(self._heap)
             if event.cancelled:
                 continue
-            self.clock.advance_to(event.time)
-            event.fire()
+            self._now = event.time
+            event.callback(*event.args)
             self._processed += 1
-        self.clock.advance_to(end_time)
-
-    def run_all(self, max_events: Optional[int] = None) -> None:
-        fired = 0
-        while self._heap:
-            if max_events is not None and fired >= max_events:
-                return
-            event = heapq.heappop(self._heap)
-            if event.cancelled:
-                continue
-            self.clock.advance_to(event.time)
-            event.fire()
-            self._processed += 1
-            fired += 1
+        self._now = float(end_time)
 
 
 # --------------------------------------------------------------- programs
@@ -95,7 +88,7 @@ class UnbatchedEventLoop:
 # A "program" is a list of instructions interpreted against a loop.  Each
 # scheduled event appends ``(label, fire_time)`` to a log and may itself
 # schedule follow-up events (reentrancy) — the interesting case for
-# batching, because a same-time reschedule must land *after* every event
+# ordering, because a same-time reschedule must land *after* every event
 # already queued at that instant.
 
 def _interpret(loop, program) -> dict:
@@ -127,9 +120,6 @@ def _interpret(loop, program) -> dict:
             _, time = op
             if time >= loop.now():
                 loop.run_until(time)
-        elif kind == "run_all":
-            _, max_events = op
-            loop.run_all(max_events=max_events)
     return {
         "log": log,
         "now": loop.now(),
@@ -145,7 +135,8 @@ def _assert_equivalent(program) -> None:
 
 
 _times = st.floats(min_value=0.0, max_value=10.0, allow_nan=False, allow_infinity=False)
-# A coarse grid maximises same-instant collisions — the batching hot path.
+# A coarse grid maximises same-instant collisions, where ties must break
+# by scheduling order.
 _grid_times = st.integers(min_value=0, max_value=8).map(lambda i: i * 0.5)
 _labels = st.integers(min_value=0, max_value=99).map(str)
 _followups = st.lists(
@@ -159,7 +150,6 @@ def _ops(times):
         st.tuples(st.just("after"), times, _labels, _followups),
         st.tuples(st.just("cancel"), st.integers(min_value=0, max_value=50)),
         st.tuples(st.just("run_until"), times),
-        st.tuples(st.just("run_all"), st.one_of(st.none(), st.integers(0, 12))),
     )
 
 
@@ -175,19 +165,6 @@ def test_batched_loop_matches_reference_on_arbitrary_times(program):
     _assert_equivalent(program)
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    st.lists(st.tuples(_grid_times, _labels), min_size=1, max_size=20),
-    st.integers(min_value=0, max_value=25),
-)
-def test_run_all_max_events_splits_batches_like_reference(schedule, max_events):
-    """``max_events`` landing mid-batch must leave the tail for later."""
-    program = [("at", time, label, []) for time, label in schedule]
-    program.append(("run_all", max_events))
-    program.append(("run_all", None))
-    _assert_equivalent(program)
-
-
 # ----------------------------------------------------- accounting regressions
 
 
@@ -195,7 +172,6 @@ def test_pending_events_counts_coalesced_events_individually():
     loop = EventLoop()
     for i in range(5):
         loop.schedule_at(1.0, lambda: None)
-    # A naive bucket implementation would report one pending *batch*.
     assert loop.pending_events == 5
     loop.schedule_at(2.0, lambda: None)
     assert loop.pending_events == 6
@@ -243,11 +219,10 @@ def test_same_time_reschedule_fires_after_existing_batch():
 
 
 def test_raising_callback_keeps_unfired_tail_schedulable():
-    """A mid-batch exception must not swallow the rest of the batch.
+    """An exception at one instant must not swallow the rest of it.
 
-    The unbatched reference keeps unfired same-time events in its heap when
-    a callback raises; a caller that catches the error and resumes sees
-    them fire.  The batched loop has to re-queue the popped tail to match.
+    Unfired same-time events stay in the heap when a callback raises; a
+    caller that catches the error and resumes sees them fire.
     """
 
     def run(loop_cls):
@@ -272,29 +247,12 @@ def test_raising_callback_keeps_unfired_tail_schedulable():
     assert resumed == (["boom", "survivor", "later"], 0, 2)
 
 
-def test_run_all_max_events_mid_batch_resumes_in_order():
-    loop = EventLoop()
-    fired = []
-    for i in range(6):
-        loop.schedule_at(1.0, fired.append, i)
-    loop.run_all(max_events=2)
-    assert fired == [0, 1]
-    assert loop.pending_events == 4
-    loop.schedule_at(1.0, fired.append, "late")
-    loop.run_all()
-    assert fired == [0, 1, 2, 3, 4, 5, "late"]
-    assert loop.pending_events == 0
-    assert loop.events_processed == 7
-
-
-# ------------------------------------------------- stale open buckets (PR 7)
+# ---------------------------------------------------- drained instants
 #
-# ``EventLoop._open`` routes same-instant appends to the batch currently
-# accepting them.  These tests pin the lifecycle rules that keep every entry
-# in ``_open`` alive (still in the heap): pop evicts, a re-queued tail
-# re-registers, and an event scheduled *at* an instant the clock has already
-# drained lands in a fresh live bucket — never a dead one that would
-# silently swallow it.
+# An event scheduled *at* an instant the clock has already drained — by a
+# finished run or by a raising callback — must still fire, and the
+# past/future check must judge a time by its ``float()`` value.  The
+# bucketed loop once lost such events to stale buckets.
 
 def test_schedule_at_drained_instant_fires_in_next_run():
     loop = EventLoop()
@@ -302,26 +260,11 @@ def test_schedule_at_drained_instant_fires_in_next_run():
     loop.schedule_at(1.0, fired.append, "first")
     loop.run_until(1.0)
     assert fired == ["first"]
-    # The t=1.0 bucket has been popped and drained; the clock sits at 1.0.
+    # The t=1.0 instant has been drained; the clock sits at 1.0.
     loop.schedule_at(1.0, fired.append, "after-drain")
     assert loop.pending_events == 1
     loop.run_until(1.0)
     assert fired == ["first", "after-drain"]
-    assert loop.pending_events == 0
-
-
-def test_schedule_at_drained_instant_after_truncated_batch():
-    """Appends at a truncated batch's instant join the live re-queued tail."""
-    loop = EventLoop()
-    fired = []
-    for i in range(4):
-        loop.schedule_at(1.0, fired.append, i)
-    loop.run_all(max_events=2)
-    assert fired == [0, 1]
-    # The original bucket was popped; its tail was re-queued and re-registered.
-    loop.schedule_at(1.0, fired.append, "late")
-    loop.run_all()
-    assert fired == [0, 1, 2, 3, "late"]
     assert loop.pending_events == 0
 
 
@@ -358,7 +301,7 @@ def test_past_time_scheduling_rejected_explicitly():
 
 
 def test_past_time_check_uses_float_conversion():
-    """The past/future decision is made on ``float(time)``, the bucket key.
+    """The past/future decision is made on ``float(time)``, the heap key.
 
     A time type whose raw comparison disagrees with its float conversion
     must be judged by the converted value — otherwise an event could be
@@ -386,12 +329,11 @@ def test_past_time_check_uses_float_conversion():
 @settings(max_examples=80, deadline=None)
 @given(st.lists(_ops(_grid_times), max_size=20), st.integers(0, 7))
 def test_no_event_scheduled_at_a_drained_instant_is_ever_lost(program, extra):
-    """Hypothesis pin for the stale-open-bucket class of bug.
+    """Hypothesis pin for events lost at an already-drained instant.
 
     After an arbitrary program, schedule a burst of events at exactly the
-    loop's current instant (the instant most likely to have a stale bucket)
-    and drain: every one must fire, on both loops, with identical order and
-    accounting.
+    loop's current instant and drain: every one must fire, on both loops,
+    with identical order and accounting.
     """
 
     def finish(loop):
@@ -399,13 +341,14 @@ def test_no_event_scheduled_at_a_drained_instant_is_ever_lost(program, extra):
         tail: List[tuple] = []
         for i in range(extra):
             loop.schedule_at(loop.now(), lambda i=i: tail.append((i, loop.now())))
-        loop.run_all()
+        # Later than anything a grid program schedules: 4.0 + 4.0 + 1.25.
+        loop.run_until(10.0)
         return state["log"], tail, loop.events_processed, loop.pending_events
 
     batched = finish(EventLoop())
     reference = finish(UnbatchedEventLoop())
     assert batched == reference
-    assert batched[3] == 0  # nothing left queued: no dead buckets
+    assert batched[3] == 0  # nothing left queued
     assert [i for i, _ in batched[1]] == list(range(extra))
 
 
@@ -481,6 +424,6 @@ def test_stop_before_keeps_accounting_and_same_time_appends_exact():
     assert loop.events_processed == 1
     assert loop.pending_events == 2  # target + the reentrant append
     loop.run_until(1.0)
-    # The re-queued tail still precedes the batch opened by the reschedule.
+    # The target still precedes the event the reschedule queued.
     assert fired == ["head", "target", "reentrant"]
     assert loop.pending_events == 0

@@ -1,4 +1,4 @@
-"""Tests for the duplex emulated path."""
+"""Tests for the one-way pipe and the duplex emulated path."""
 
 import pytest
 
@@ -47,6 +47,31 @@ def test_min_rtt_is_twice_propagation_delay():
     rtt = deliveries["a"][0] - sent_at
     assert rtt >= 0.040
     assert rtt < 0.060
+
+
+def test_packets_delayed_by_fixed_amount():
+    loop = EventLoop()
+    received = []
+    pipe = OneWayPipe(loop, [1.05], lambda p, t: received.append(t), propagation_delay=0.05)
+    packet = Packet()
+    loop.schedule_at(1.0, lambda: pipe.send(packet, loop.now()))
+    loop.run_until(2.0)
+    assert packet.enqueued_at == pytest.approx(1.05)
+    assert received == [pytest.approx(1.05)]
+
+
+def test_order_preserved():
+    loop = EventLoop()
+    received = []
+    trace = [0.1 + 0.01 * k for k in range(5)]
+    pipe = OneWayPipe(
+        loop, trace, lambda p, t: received.append(p.headers["i"]), propagation_delay=0.02
+    )
+    for i in range(5):
+        packet = Packet(headers={"i": i})
+        loop.schedule_at(0.001 * i, lambda packet=packet: pipe.send(packet, loop.now()))
+    loop.run_until(1.0)
+    assert received == [0, 1, 2, 3, 4]
 
 
 def test_loss_rate_zero_delivers_everything():
