@@ -4,24 +4,20 @@
 PYTHON ?= python
 export PYTHONPATH := src:$(PYTHONPATH)
 
-.PHONY: test test-fast test-explore smoke test-fault test-oracle test-live test-chaos cov bench bench-batched bench-e2e bench-workload bench-pair pairs docs-check loc
+.PHONY: test test-fast test-explore test-fault test-oracle test-live test-chaos cov bench-e2e bench-workload bench-pair pairs docs-check loc
 
-## full suite, including perf benchmarks (the tier-1 gate)
+## full suite, paper-shape checks included (the tier-1 gate)
 test:
 	$(PYTHON) -m pytest -x -q
 
-## fastest inner-loop pass: no perf benchmarks, no golden-grid re-runs
+## fastest inner-loop pass: no golden-grid or full-matrix re-runs
 test-fast:
-	$(PYTHON) -m pytest -q -m "not perf and not golden"
+	$(PYTHON) -m pytest -q -m "not golden"
 
 ## the Hypothesis properties at random draws and 10x their examples, failures
 ## kept in .hypothesis/ (tier-1 runs the derandomised `ci` profile; tests/conftest.py)
 test-explore:
-	$(PYTHON) -m pytest --hypothesis-profile=explore -m "not perf"
-
-## fast smoke job: correctness tests only, no perf benchmarks
-smoke:
-	$(PYTHON) -m pytest -q -m "not perf"
+	$(PYTHON) -m pytest --hypothesis-profile=explore
 
 ## fault-injection recovery suite only (docs/robustness.md)
 test-fault:
@@ -44,14 +40,6 @@ test-chaos:
 ## coverage gate (requires the [cov] extra; skips cleanly without it)
 cov:
 	$(PYTHON) scripts/coverage_gate.py
-
-## performance benchmarks; BENCH_PERF.json is a local, git-ignored record
-bench:
-	$(PYTHON) -m pytest benchmarks/test_bench_perf.py -q -s
-
-## batched cross-cell engine benchmark only (the local record's `batched` section)
-bench-batched:
-	$(PYTHON) -m pytest benchmarks/test_bench_perf.py::test_bench_batched_cells_per_sec -q -s
 
 ## the repo benchmark (BENCHMARK.json, bench/README.md): every workload once
 ## plus one traced pass each, written to $(OUT); touches no tracked file

@@ -15,9 +15,9 @@ cannot silently shed tests.  Two measurement backends:
 The two backends count slightly differently (docstrings, worker
 subprocesses), so the floor is calibrated *per backend*: ``REPRO_COV_FLOOR``
 overrides both; the defaults below are pinned to what each backend last
-reported green on the reference environment.  The perf-marked benchmarks
-are excluded — this is the fast "smoke + coverage" job, not the benchmark
-run.
+reported green on the reference environment.  The suite measured is
+``tests/``; the repo benchmark's smoke test under ``bench/`` is not part of
+it.
 """
 
 from __future__ import annotations
@@ -66,8 +66,6 @@ def _pytest_cov_gate(floor: float) -> int:
         "-m",
         "pytest",
         "-q",
-        "-m",
-        "not perf",
         "--cov=repro",
         f"--cov-fail-under={floor:g}",
         "tests",
@@ -123,7 +121,7 @@ def _stdlib_gate(floor: float) -> int:
     threading.settrace(call_tracer)
     sys.settrace(call_tracer)
     try:
-        code = pytest.main(["-q", "-m", "not perf", "tests"])
+        code = pytest.main(["-q", "tests"])
     finally:
         sys.settrace(None)
         threading.settrace(None)

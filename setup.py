@@ -3,10 +3,10 @@
 This file exists so that ``pip install -e .`` works in offline environments
 that lack the ``wheel`` package required by PEP 517 editable builds.
 
-Pytest configuration (including the ``perf`` marker used by the benchmark
-harness and the fast ``-m "not perf"`` smoke job) is registered in
-pytest.ini; the coverage gate lives in scripts/coverage_gate.py and needs
-the ``cov`` extra below.
+Pytest configuration (including the ``golden`` marker that the fast
+``-m "not golden"`` job deselects) is registered in pytest.ini; the
+coverage gate lives in scripts/coverage_gate.py and needs the ``cov``
+extra below.
 """
 
 from setuptools import setup

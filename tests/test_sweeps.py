@@ -380,10 +380,9 @@ def test_suite_serial_when_jobs_none():
     assert data.points[0].results[0].as_dict() == plain.as_dict()
 
 
-@pytest.mark.perf
 def test_sigma_and_tick_sweeps_run_end_to_end():
-    """The model-rebuilding sweeps actually emulate (Monte-Carlo warm-up
-    per non-default parameter set makes this too slow for the smoke job)."""
+    """The model-rebuilding sweeps actually emulate: each non-default
+    parameter set builds its own rate model, then runs its cell."""
     for parameter, value in (("sigma", 150.0), ("tick", 0.04)):
         data = run_grid(
             sweep(parameter, (value,)), config=RunConfig(duration=6.0, warmup=1.0)

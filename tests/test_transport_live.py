@@ -55,6 +55,10 @@ def test_clean_loopback_transfer_completes():
     # Real one-way delays were measured for every delivered packet.
     assert result.delay_percentiles_s["p95"] == result.delay_percentiles_s["p95"]
     assert result.min_delay_s >= 0.0
+    # Catastrophic-regression floors, an order of magnitude off any
+    # measured value so a loaded runner cannot flap them.
+    assert result.throughput_bps > 100_000
+    assert result.delay_percentiles_s["p95"] < 1.0
 
 
 # ----------------------------------------------- the lossy acceptance bar
